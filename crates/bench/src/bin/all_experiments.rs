@@ -1,8 +1,13 @@
-//! Runs every experiment binary's logic in sequence (synchronously), so one
-//! command regenerates all figures and tables into `results/`.
-use std::process::Command;
+//! Runs every experiment binary in sequence, so one command regenerates all
+//! figures and tables into `results/`.
+//!
+//! The experiments run as the sibling binaries next to this one, so build
+//! them all first: `cargo build --release -p cent-bench --bins`. Every
+//! experiment runs even if an earlier one fails; the process then exits
+//! non-zero, naming each binary that was missing or failed.
+use std::process::{Command, ExitCode};
 
-fn main() {
+fn main() -> ExitCode {
     let bins = [
         "table1_hw_comparison",
         "table4_system_config",
@@ -21,13 +26,28 @@ fn main() {
     ];
     let exe = std::env::current_exe().expect("current exe");
     let dir = exe.parent().expect("bin dir");
+    let mut failed = Vec::new();
     for bin in bins {
         println!("\n──────── running {bin} ────────");
-        let status = Command::new(dir.join(bin)).status();
-        match status {
+        match Command::new(dir.join(bin)).status() {
             Ok(s) if s.success() => {}
-            Ok(s) => eprintln!("{bin} exited with {s}"),
-            Err(e) => eprintln!("{bin} failed to start: {e}"),
+            Ok(s) => {
+                eprintln!("{bin} exited with {s}");
+                failed.push(bin);
+            }
+            Err(e) => {
+                eprintln!(
+                    "{bin} failed to start: {e} (build every experiment binary first: \
+                     cargo build --release -p cent-bench --bins)"
+                );
+                failed.push(bin);
+            }
         }
+    }
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("{} of {} experiments failed: {}", failed.len(), bins.len(), failed.join(", "));
+        ExitCode::FAILURE
     }
 }

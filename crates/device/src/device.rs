@@ -329,33 +329,13 @@ impl CxlDevice {
                     .collect::<CentResult<_>>()?;
                 let channel = self.channel_mut(ch.index())?;
                 channel.advance_to(now);
-                let mut r = row;
-                let mut c = col.index();
-                for beat in &beats {
-                    if c >= cent_types::consts::COLS_PER_ROW {
-                        r = r.next();
-                        c = 0;
-                    }
-                    channel.write_beat(bank, r, cent_types::ColAddr(c as u32), beat)?;
-                    c += 1;
-                }
+                channel.write_beats(bank, row, col, &beats)?;
             }
             Instruction::RdSbk { ch, opsize, bank, row, col, rd } => {
                 let now = self.now;
                 let channel = self.channel_mut(ch.index())?;
                 channel.advance_to(now);
-                let mut beats = Vec::with_capacity(opsize as usize);
-                let mut r = row;
-                let mut c = col.index();
-                for _ in 0..opsize {
-                    if c >= cent_types::consts::COLS_PER_ROW {
-                        r = r.next();
-                        c = 0;
-                    }
-                    let (beat, _) = channel.read_beat(bank, r, cent_types::ColAddr(c as u32))?;
-                    beats.push(beat);
-                    c += 1;
-                }
+                let beats = channel.read_beats(bank, row, col, opsize as usize)?;
                 let busy = self.channels[ch.index()].busy_until();
                 self.sync_pim(busy);
                 for (i, beat) in beats.iter().enumerate() {

@@ -316,8 +316,59 @@ impl PimChannelTiming {
         self.apply(cmd)
     }
 
+    /// Issues a burst of `n` same-kind column commands inside one open row
+    /// and returns the issue time of the last one.
+    ///
+    /// The result, and every piece of channel state afterwards, is identical
+    /// to `n` [`Self::issue`] calls with consecutive columns starting at
+    /// `first`: the first beat takes the normal path (every legality and
+    /// refresh check), and the remaining `n − 1` are advanced in closed form.
+    /// That is exact because the stream is in order and the row stays open:
+    /// `tRCD` is met once the first beat issued, refresh only fires when all
+    /// banks are closed, and each later beat waits only on the one before
+    /// it — `tCCD_S` for all-bank beats, `max(tCCD_S, tCCD_L)` for same-bank
+    /// `RD`/`WR`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CentError::ProtocolViolation`] if `first` is not a column
+    /// command, if `n` is zero, or if the first beat is illegal (see
+    /// [`Self::earliest_issue`]).
+    pub fn issue_burst(&mut self, first: DramCommand, n: usize) -> CentResult<Time> {
+        if !first.is_column() || n == 0 {
+            return Err(CentError::ProtocolViolation(format!(
+                "burst of {n} {} commands",
+                first.mnemonic()
+            )));
+        }
+        let t_first = self.issue(first)?;
+        if n == 1 {
+            return Ok(t_first);
+        }
+        let p = &self.params;
+        let stride = match first {
+            DramCommand::Rd { .. } | DramCommand::Wr { .. } => p.t_ccds.max(p.t_ccdl),
+            _ => p.t_ccds,
+        };
+        let rest = (n - 1) as u64;
+        let t_last = t_first + stride.times(rest);
+        // Every per-beat update is a last-writer-wins store, a max with a
+        // term that grows with the issue time, or a counter increment, so
+        // committing the last beat with the remaining count reproduces the
+        // beat-by-beat state.
+        self.commit(first, t_last, rest);
+        Ok(t_last)
+    }
+
     fn apply(&mut self, cmd: DramCommand) -> CentResult<Time> {
         let t = self.earliest_issue(cmd)?;
+        self.commit(cmd, t, 1);
+        Ok(t)
+    }
+
+    /// Records `cmd` issued at `t`. A column command stands for `beats`
+    /// back-to-back beats ending at `t`; every other command passes 1.
+    fn commit(&mut self, cmd: DramCommand, t: Time, beats: u64) {
         let p = self.params;
         match cmd {
             DramCommand::Act { bank, row } => {
@@ -347,13 +398,13 @@ impl PimChannelTiming {
                 self.banks[bank.index()].last_rd = t;
                 self.note_col(t, Some(bank.bank_group()));
                 self.busy_until = self.busy_until.max(t + p.t_cl + p.t_ccds);
-                self.stats.reads += 1;
+                self.stats.reads += beats;
             }
             DramCommand::Wr { bank, .. } => {
                 self.banks[bank.index()].last_wr = t;
                 self.note_col(t, Some(bank.bank_group()));
                 self.busy_until = self.busy_until.max(t + p.t_cwl + p.t_ccds);
-                self.stats.writes += 1;
+                self.stats.writes += beats;
             }
             DramCommand::MacAb { .. } => {
                 for b in &mut self.banks {
@@ -363,7 +414,7 @@ impl PimChannelTiming {
                 // The PU consumes data tCL after issue and computes in one
                 // PU cycle.
                 self.busy_until = self.busy_until.max(t + p.t_cl + p.t_ccds);
-                self.stats.mac_beats += consts::BANKS_PER_CHANNEL as u64;
+                self.stats.mac_beats += beats * consts::BANKS_PER_CHANNEL as u64;
             }
             DramCommand::EwMulAb { .. } => {
                 for b in &mut self.banks {
@@ -374,7 +425,7 @@ impl PimChannelTiming {
                 self.busy_until = self.busy_until.max(t + p.t_cl + p.t_cwl + p.t_ccds);
                 // One EWMUL beat reads from 2 banks and writes 1 per bank
                 // group, i.e. 4 per-bank-group events; counted once per group.
-                self.stats.ewmul_beats += consts::BANK_GROUPS_PER_CHANNEL as u64;
+                self.stats.ewmul_beats += beats * consts::BANK_GROUPS_PER_CHANNEL as u64;
             }
             DramCommand::Pre { bank } => {
                 let b = &mut self.banks[bank.index()];
@@ -405,14 +456,13 @@ impl PimChannelTiming {
                 self.now = self.now.max(t + p.t_rfc);
                 self.busy_until = self.busy_until.max(t + p.t_rfc);
                 self.stats.commands += 1;
-                return Ok(t);
+                return;
             }
         }
-        self.stats.commands += 1;
+        self.stats.commands += beats;
         // Command bus: one command slot per PU cycle.
         self.now = self.now.max(t + p.t_ccds);
         self.busy_until = self.busy_until.max(self.now);
-        Ok(t)
     }
 
     fn note_col(&mut self, t: Time, group: Option<BankGroupId>) {

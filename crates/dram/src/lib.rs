@@ -8,7 +8,9 @@
 //!   commands (`ACTab`, `MACab`, `EWMULab`, `PREab`);
 //! * [`PimChannelTiming`] — a per-channel timing state machine enforcing the
 //!   paper's Table 4 constraints (`tRCDRD`=18 ns, `tRAS`=27 ns, `tCL`=25 ns,
-//!   `tRCDWR`=14 ns, `tCCDS`=1 ns, `tRP`=16 ns);
+//!   `tRCDWR`=14 ns, `tCCDS`=1 ns, `tRP`=16 ns), whose
+//!   [`PimChannelTiming::issue_burst`] times a run of column beats in one
+//!   open row in closed form, bit-identical to issuing them one by one;
 //! * [`ActivityCounters`] — per-command activity tallies feeding the
 //!   activity-based power model.
 //!
@@ -23,9 +25,9 @@
 //! # fn main() -> Result<(), cent_types::CentError> {
 //! let mut ch = PimChannelTiming::new();
 //! ch.issue(DramCommand::ActAb { row: RowAddr(0) })?;
-//! for col in 0..64 {
-//!     ch.issue(DramCommand::MacAb { col: ColAddr(col) })?;
-//! }
+//! // 64 MAC beats, timed as 64 `issue` calls would time them.
+//! let last = ch.issue_burst(DramCommand::MacAb { col: ColAddr(0) }, 64)?;
+//! assert_eq!(last.as_ns(), 18.0 + 63.0);
 //! ch.issue(DramCommand::PreAb)?;
 //! // 18 ns tRCD + 64 beats + tRTP/tRP tail.
 //! assert!(ch.busy_until().as_ns() > 82.0);

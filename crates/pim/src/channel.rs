@@ -6,9 +6,15 @@
 //! 256-bit beat to all PUs in one cycle.
 //!
 //! Every operation both *computes* (when the channel is in functional mode)
-//! and *advances the DRAM timing model* by issuing the command sequence the
-//! PIM controller would generate, so one code path produces verified values
-//! and cycle counts.
+//! and *advances the DRAM timing model* with the command sequence the PIM
+//! controller would generate, so one code path produces verified values and
+//! cycle counts. Multi-beat operations walk their beats one row segment at a
+//! time: each segment is one address check, one row switch (`PREab`/`ACTab`
+//! when the row changes) and one [`PimChannelTiming::issue_burst`], which
+//! times the segment's column beats in closed form yet exactly as if each
+//! were issued on its own. Functional and timing-only channels share that
+//! timing path; a functional channel additionally loops over the segment's
+//! beats to move data.
 
 use std::collections::BTreeMap;
 
@@ -36,6 +42,47 @@ pub enum MacSource {
 
 /// BF16 elements per DRAM row (2 KB / 2 B).
 const ELEMS_PER_ROW: usize = COLS_PER_ROW * LANES_PER_BEAT;
+
+/// A run of consecutive beats of a stream that fall inside one DRAM row.
+#[derive(Debug, Clone, Copy)]
+struct RowSegment {
+    row: RowAddr,
+    col: ColAddr,
+    /// Position of the segment's first beat within the whole stream.
+    first: usize,
+    len: usize,
+}
+
+impl RowSegment {
+    /// `(stream position, column)` of every beat in the segment.
+    fn beats(self) -> impl Iterator<Item = (usize, ColAddr)> {
+        (0..self.len).map(move |j| (self.first + j, self.col.offset(j as u32)))
+    }
+}
+
+/// Splits a stream of `n` beats starting at (`row`, `col`) into per-row
+/// segments. A stream that runs off the end of a row continues at column 0
+/// of the next row, and so does one whose start column is at or past the
+/// row end.
+fn row_segments(row: RowAddr, col: ColAddr, n: usize) -> impl Iterator<Item = RowSegment> {
+    let mut row = row;
+    let mut col = col.index();
+    let mut first = 0;
+    std::iter::from_fn(move || {
+        if first == n {
+            return None;
+        }
+        if col >= COLS_PER_ROW {
+            row = row.next();
+            col = 0;
+        }
+        let len = (COLS_PER_ROW - col).min(n - first);
+        let seg = RowSegment { row, col: ColAddr(col as u32), first, len };
+        first += len;
+        col += len;
+        Some(seg)
+    })
+}
 
 /// Functional storage for one bank: rows are allocated lazily since model
 /// weights only touch a fraction of the 32 MB in small tests.
@@ -197,6 +244,21 @@ impl PimChannel {
         Ok(())
     }
 
+    /// Issues one row segment of `cmd` beats (`cmd` carries the segment's
+    /// first column): checks the segment's start address against `bank`,
+    /// opens its row in every bank, then times all its beats as one burst.
+    /// Returns the issue time of the last beat.
+    fn issue_segment(
+        &mut self,
+        bank: BankId,
+        seg: RowSegment,
+        cmd: DramCommand,
+    ) -> CentResult<Time> {
+        self.check_addr(bank, seg.row, seg.col)?;
+        self.open_all(seg.row)?;
+        self.timing.issue_burst(cmd, seg.len)
+    }
+
     /// Closes any open row (PREab).
     ///
     /// # Errors
@@ -274,6 +336,60 @@ impl PimChannel {
         Ok((beat, t))
     }
 
+    /// `WR_SBK`: writes `beats` into `bank` starting at (`row`, `col`),
+    /// wrapping into the next row past the last column. Returns the issue
+    /// time of the last beat.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for out-of-range addresses.
+    pub fn write_beats(
+        &mut self,
+        bank: BankId,
+        row: RowAddr,
+        col: ColAddr,
+        beats: &[Beat],
+    ) -> CentResult<Time> {
+        let mut last = Time::ZERO;
+        for seg in row_segments(row, col, beats.len()) {
+            last = self.issue_segment(bank, seg, DramCommand::Wr { bank, col: seg.col })?;
+            if self.functional {
+                for (i, c) in seg.beats() {
+                    self.banks[bank.index()].write_beat(seg.row, c, &beats[i]);
+                }
+            }
+        }
+        Ok(last)
+    }
+
+    /// `RD_SBK`: reads `n` beats from `bank` starting at (`row`, `col`),
+    /// wrapping into the next row past the last column. A timing-only
+    /// channel returns zero beats.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for out-of-range addresses.
+    pub fn read_beats(
+        &mut self,
+        bank: BankId,
+        row: RowAddr,
+        col: ColAddr,
+        n: usize,
+    ) -> CentResult<Vec<Beat>> {
+        let mut out = Vec::with_capacity(n);
+        for seg in row_segments(row, col, n) {
+            self.issue_segment(bank, seg, DramCommand::Rd { bank, col: seg.col })?;
+            if self.functional {
+                out.extend(
+                    seg.beats().map(|(_, c)| self.banks[bank.index()].read_beat(seg.row, c)),
+                );
+            } else {
+                out.resize(out.len() + seg.len, ZERO_BEAT);
+            }
+        }
+        Ok(out)
+    }
+
     /// `WR_ABK`: scatters the 16 lanes of `beat` across all banks — lane `p`
     /// is stored as the 16-bit element at position `elem` of `row` in bank
     /// `p`. Used to lay out per-bank operands (e.g. dot-product inputs) in
@@ -346,21 +462,14 @@ impl PimChannel {
             )));
         }
         let mut last = Time::ZERO;
-        let mut r = row;
-        let mut c = col.index();
-        for i in 0..n {
-            if c >= COLS_PER_ROW {
-                r = r.next();
-                c = 0;
-            }
-            self.check_addr(bank, r, ColAddr(c as u32))?;
-            self.open_all(r)?;
-            last = self.timing.issue(DramCommand::Rd { bank, col: ColAddr(c as u32) })?;
+        for seg in row_segments(row, col, n) {
+            last = self.issue_segment(bank, seg, DramCommand::Rd { bank, col: seg.col })?;
             if self.functional {
-                self.global_buffer[gb_slot + i] =
-                    self.banks[bank.index()].read_beat(r, ColAddr(c as u32));
+                for (i, c) in seg.beats() {
+                    self.global_buffer[gb_slot + i] =
+                        self.banks[bank.index()].read_beat(seg.row, c);
+                }
             }
-            c += 1;
         }
         Ok(last)
     }
@@ -384,21 +493,14 @@ impl PimChannel {
             )));
         }
         let mut last = Time::ZERO;
-        let mut r = row;
-        let mut c = col.index();
-        for i in 0..n {
-            if c >= COLS_PER_ROW {
-                r = r.next();
-                c = 0;
-            }
-            self.check_addr(bank, r, ColAddr(c as u32))?;
-            self.open_all(r)?;
-            last = self.timing.issue(DramCommand::Wr { bank, col: ColAddr(c as u32) })?;
+        for seg in row_segments(row, col, n) {
+            last = self.issue_segment(bank, seg, DramCommand::Wr { bank, col: seg.col })?;
             if self.functional {
-                let beat = self.global_buffer[gb_slot + i];
-                self.banks[bank.index()].write_beat(r, ColAddr(c as u32), &beat);
+                for (i, c) in seg.beats() {
+                    let beat = self.global_buffer[gb_slot + i];
+                    self.banks[bank.index()].write_beat(seg.row, c, &beat);
+                }
             }
-            c += 1;
         }
         Ok(last)
     }
@@ -438,22 +540,18 @@ impl PimChannel {
         source: MacSource,
     ) -> CentResult<Time> {
         let mut last = Time::ZERO;
-        let mut r = row;
-        let mut c = col.index();
-        for i in 0..n_beats {
-            if c >= COLS_PER_ROW {
-                r = r.next();
-                c = 0;
+        for seg in row_segments(row, col, n_beats) {
+            last = self.issue_segment(BankId(0), seg, DramCommand::MacAb { col: seg.col })?;
+            if !self.functional {
+                continue;
             }
-            self.check_addr(BankId(0), r, ColAddr(c as u32))?;
-            self.open_all(r)?;
-            last = self.timing.issue(DramCommand::MacAb { col: ColAddr(c as u32) })?;
-            if self.functional {
+            let r = seg.row;
+            for (i, c) in seg.beats() {
                 match source {
                     MacSource::GlobalBuffer { slot } => {
                         let operand = self.global_buffer[(slot + i) % self.global_buffer.len()];
                         for (p, pu) in self.pus.iter_mut().enumerate() {
-                            let a = self.banks[p].read_beat(r, ColAddr(c as u32));
+                            let a = self.banks[p].read_beat(r, c);
                             let dot: f32 = a
                                 .iter()
                                 .zip(operand.iter())
@@ -464,8 +562,8 @@ impl PimChannel {
                     }
                     MacSource::NeighbourBank => {
                         for k in 0..BANKS_PER_CHANNEL / 2 {
-                            let a = self.banks[2 * k].read_beat(r, ColAddr(c as u32));
-                            let b = self.banks[2 * k + 1].read_beat(r, ColAddr(c as u32));
+                            let a = self.banks[2 * k].read_beat(r, c);
+                            let b = self.banks[2 * k + 1].read_beat(r, c);
                             let dot: f32 =
                                 a.iter().zip(b.iter()).map(|(x, y)| x.to_f32() * y.to_f32()).sum();
                             self.pus[2 * k].acc[reg.index()] += dot;
@@ -473,7 +571,6 @@ impl PimChannel {
                     }
                 }
             }
-            c += 1;
         }
         Ok(last)
     }
@@ -487,28 +584,23 @@ impl PimChannel {
     /// Returns an error for out-of-range addresses.
     pub fn ew_mul(&mut self, row: RowAddr, col: ColAddr, n_beats: usize) -> CentResult<Time> {
         let mut last = Time::ZERO;
-        let mut r = row;
-        let mut c = col.index();
-        for _ in 0..n_beats {
-            if c >= COLS_PER_ROW {
-                r = r.next();
-                c = 0;
+        for seg in row_segments(row, col, n_beats) {
+            last = self.issue_segment(BankId(0), seg, DramCommand::EwMulAb { col: seg.col })?;
+            if !self.functional {
+                continue;
             }
-            self.check_addr(BankId(0), r, ColAddr(c as u32))?;
-            self.open_all(r)?;
-            last = self.timing.issue(DramCommand::EwMulAb { col: ColAddr(c as u32) })?;
-            if self.functional {
+            let r = seg.row;
+            for (_, c) in seg.beats() {
                 for g in 0..cent_types::consts::BANK_GROUPS_PER_CHANNEL {
-                    let a = self.banks[4 * g].read_beat(r, ColAddr(c as u32));
-                    let b = self.banks[4 * g + 1].read_beat(r, ColAddr(c as u32));
+                    let a = self.banks[4 * g].read_beat(r, c);
+                    let b = self.banks[4 * g + 1].read_beat(r, c);
                     let mut out = ZERO_BEAT;
                     for lane in 0..LANES_PER_BEAT {
                         out[lane] = a[lane] * b[lane];
                     }
-                    self.banks[4 * g + 2].write_beat(r, ColAddr(c as u32), &out);
+                    self.banks[4 * g + 2].write_beat(r, c, &out);
                 }
             }
-            c += 1;
         }
         Ok(last)
     }
@@ -720,5 +812,54 @@ mod tests {
         let (beat, _) = ch.read_beat(BankId(0), RowAddr(0), ColAddr(0)).unwrap();
         assert_eq!(beat, ZERO_BEAT);
         assert!(!ch.is_functional());
+    }
+
+    #[test]
+    fn row_segments_wrap_like_the_per_beat_walk() {
+        let segs: Vec<(u32, u32, usize, usize)> = row_segments(RowAddr(3), ColAddr(60), 70)
+            .map(|s| (s.row.0, s.col.0, s.first, s.len))
+            .collect();
+        assert_eq!(segs, vec![(3, 60, 0, 4), (4, 0, 4, 64), (5, 0, 68, 2)]);
+        // A start column past the row end starts at column 0 of the next row.
+        let past: Vec<(u32, u32)> =
+            row_segments(RowAddr(0), ColAddr(70), 3).map(|s| (s.row.0, s.col.0)).collect();
+        assert_eq!(past, vec![(1, 0)]);
+        assert_eq!(row_segments(RowAddr(0), ColAddr(0), 0).count(), 0);
+    }
+
+    #[test]
+    fn functional_and_timing_only_channels_time_streams_identically() {
+        // (row, start column, beats): row wraps, a stream longer than two
+        // rows, an empty stream and a start column past the row end.
+        let streams = [(0, 62, 3), (2, 0, 64), (3, 10, 150), (5, 0, 0), (6, 70, 5), (7, 63, 1)];
+        let mut functional = PimChannel::functional();
+        let mut timing = PimChannel::timing_only();
+        let src = MacSource::GlobalBuffer { slot: 0 };
+        for (k, &(row, col, n)) in streams.iter().enumerate() {
+            let (row, col) = (RowAddr(row), ColAddr(col));
+            let gb_n = n.min(64);
+            let bank = BankId(k as u16 * 3 % 16);
+            for ch in [&mut functional, &mut timing] {
+                let reg = AccRegId::new(1);
+                let times = [
+                    ch.mac_abk(row, col, n, reg, src).unwrap(),
+                    ch.mac_abk(row, col, n, reg, MacSource::NeighbourBank).unwrap(),
+                    ch.ew_mul(row, col, n).unwrap(),
+                    ch.copy_gb_to_bank(bank, row, col, 0, gb_n).unwrap(),
+                    ch.copy_bank_to_gb(bank, row, col, 0, gb_n).unwrap(),
+                    ch.write_beats(bank, row, col, &vec![ZERO_BEAT; n]).unwrap(),
+                ];
+                assert_eq!(ch.read_beats(bank, row, col, n).unwrap().len(), n);
+                if n == 0 {
+                    assert_eq!(times, [Time::ZERO; 6], "an empty stream issues nothing");
+                }
+            }
+            assert_eq!(functional.busy_until(), timing.busy_until(), "stream {k}");
+            assert_eq!(functional.activity(), timing.activity(), "stream {k}");
+            assert_eq!(functional.timing.now(), timing.timing.now(), "stream {k}");
+        }
+        let beats: u64 = streams.iter().map(|s| s.2 as u64).sum();
+        assert_eq!(functional.activity().mac_beats, 2 * 16 * beats);
+        assert_eq!(functional.activity().ewmul_beats, 4 * beats);
     }
 }

@@ -116,13 +116,10 @@ pub fn evaluate(
     let stage_interval = Time::from_ps((stage_time.as_ps() as f64 * sharing) as u64) + hop;
 
     let stages = if mapping.batch > 1 { cfg.layers } else { 1 };
-    let token_latency = if mapping.batch > 1 {
-        // PP: a token traverses all stages; the host samples at the end.
-        Time::from_ps(stage_interval.as_ps() * cfg.layers as u64) + host::TOP_K_SAMPLING
-    } else {
-        // TP: all devices advance one block at a time.
-        Time::from_ps(stage_interval.as_ps() * cfg.layers as u64) + host::TOP_K_SAMPLING
-    };
+    // A token traverses every block once (PP: one stage each; TP: all
+    // devices advance one block at a time); the host samples at the end.
+    let token_latency =
+        Time::from_ps(stage_interval.as_ps() * cfg.layers as u64) + host::TOP_K_SAMPLING;
     let replicas = mapping.replicas.max(1) as f64;
     let decode_tokens_per_s = if mapping.batch > 1 {
         // One query-token exits the pipeline per stage interval.
@@ -242,7 +239,6 @@ pub fn scalability_sweep(
             if devices % replicas != 0 {
                 continue;
             }
-            let per = devices / replicas;
             let Ok(mapping) =
                 SystemMapping::plan(cfg, devices, Strategy::DataParallel { replicas })
             else {
@@ -257,7 +253,6 @@ pub fn scalability_sweep(
             if best.is_none_or(|(s, _, _)| score > s) {
                 best = Some((score, replicas, used));
             }
-            let _ = per;
         }
         let Some((_, replicas, used)) = best else { continue };
         let perf = evaluate(cfg, devices, Strategy::DataParallel { replicas }, context)?;
