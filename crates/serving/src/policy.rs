@@ -1,12 +1,13 @@
 //! Pluggable admission-ordering policies for the continuous-batching
 //! scheduler.
 //!
-//! The scheduler repeatedly asks its [`SchedulingPolicy`] which waiting
-//! request to admit next; admission stops at the first pick that fits no
-//! replica (head-of-line blocking on the *policy's* order, which keeps
-//! saturation behaviour fair and deterministic). Policies are pure ranking
-//! functions over [`QueuedRequest`]s, so preemption and KV accounting stay
-//! in the scheduler while service order is swappable per run.
+//! The scheduler ranks each waiting request once by its
+//! [`SchedulingPolicy`] and admits in that order; admission stops at the
+//! first pick that fits no replica (head-of-line blocking on the
+//! *policy's* order, which keeps saturation behaviour fair and
+//! deterministic). Policies are pure ranking functions over
+//! [`QueuedRequest`]s, so preemption and KV accounting stay in the
+//! scheduler while service order is swappable per run.
 //!
 //! A request's [`PriorityClass`](crate::PriorityClass) dominates the policy
 //! order: the scheduler keys admission on `(class, policy priority, arrival,
@@ -42,10 +43,12 @@ pub struct PolicyContext {
 ///
 /// Priorities must be *stable between admission instants*: a request's key
 /// may depend on its own state (arrival, remaining work) and on constants
-/// from the context, but not on `ctx.now` itself. The scheduler's blocked-
-/// head fast path relies on this — a pick that lost the capacity race is
-/// assumed to stay the front-runner until a lease is released or a
-/// better-keyed request arrives.
+/// from the context (`token_interval` is fixed per serving engine), but not
+/// on `ctx.now` itself. The scheduler keys each request once, when it
+/// enters the waiting set, and keeps the set sorted by that key in an
+/// ordered index; a key that drifted with time would leave the index
+/// serving a stale order. A preempted request is re-keyed when it is
+/// requeued, so priorities over remaining work stay exact.
 pub trait SchedulingPolicy: std::fmt::Debug + Send + Sync {
     /// Short human-readable name (used in sweep tables).
     fn name(&self) -> &'static str;

@@ -1,5 +1,7 @@
 //! The serving frontend's request queue and per-request lifecycle records.
 
+use std::collections::BTreeMap;
+
 use cent_types::Time;
 
 /// Identifier of one request in a workload trace.
@@ -230,14 +232,30 @@ impl RequestRecord {
     }
 }
 
-/// The pool of requests waiting for a pipeline slot, with depth tracking.
+/// Total admission-order key of a waiting request: `(class, policy
+/// priority, arrival, id)`. The request id makes it unique per waiting
+/// request, so the order it induces is total.
+type AdmissionKey = (PriorityClass, i128, Time, RequestId);
+
+/// The pool of requests waiting for a pipeline slot, ordered for admission,
+/// with depth tracking.
 ///
-/// Service order is *not* a property of the queue: the scheduler's
-/// [`SchedulingPolicy`](crate::SchedulingPolicy) ranks the waiting set at
-/// every admission instant, so the queue only stores and counts.
+/// [`push`](Self::push) only appends to a pending buffer: the policy
+/// priority needs the scheduler's [`PolicyContext`](crate::PolicyContext),
+/// which an arrival does not carry. [`index_pending`](Self::index_pending)
+/// keys each pending request exactly once and files it into an ordered
+/// index, from which [`peek`](Self::peek) and [`pop`](Self::pop) serve the
+/// smallest `(class, policy priority, arrival, id)` key in `O(log n)`. A
+/// key is never recomputed while its request waits, which is exact because
+/// [`SchedulingPolicy`](crate::SchedulingPolicy) priorities are stable
+/// between admission instants.
 #[derive(Debug, Default)]
 pub struct RequestQueue {
-    waiting: Vec<QueuedRequest>,
+    /// Pushed since the last `index_pending`, not yet keyed. Drained in
+    /// place so its capacity survives across admission instants.
+    pending: Vec<QueuedRequest>,
+    /// Keyed requests, smallest key first.
+    index: BTreeMap<AdmissionKey, QueuedRequest>,
     /// Largest depth ever observed.
     peak_depth: usize,
     /// Total requests ever enqueued (requeues after preemption included).
@@ -250,65 +268,57 @@ impl RequestQueue {
         Self::default()
     }
 
-    /// Appends a waiting request (a fresh arrival or a preempted resume).
+    /// Appends a waiting request (a fresh arrival or a preempted resume)
+    /// to the pending buffer.
     pub fn push(&mut self, req: QueuedRequest) {
-        self.waiting.push(req);
+        self.pending.push(req);
         self.enqueued += 1;
-        self.peak_depth = self.peak_depth.max(self.waiting.len());
+        self.peak_depth = self.peak_depth.max(self.len());
     }
 
-    /// Iterates over the waiting set in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &QueuedRequest> {
-        self.waiting.iter()
-    }
-
-    /// Index of the waiting request minimising `key`, or `None` if the
-    /// queue is empty. The key must be total (e.g. end in the request id)
-    /// so the pick is deterministic regardless of storage order.
-    pub fn min_index_by_key<K: Ord>(
-        &self,
-        mut key: impl FnMut(&QueuedRequest) -> K,
-    ) -> Option<usize> {
-        self.waiting.iter().enumerate().min_by_key(|(_, q)| key(q)).map(|(i, _)| i)
-    }
-
-    /// Borrows the waiting request at `idx`.
+    /// Keys every pending request with `priority` and files it into the
+    /// ordered index.
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of bounds.
-    pub fn get(&self, idx: usize) -> &QueuedRequest {
-        &self.waiting[idx]
+    /// Panics if a key is already in the index — the same request waiting
+    /// twice.
+    pub fn index_pending(&mut self, mut priority: impl FnMut(&QueuedRequest) -> i128) {
+        for req in self.pending.drain(..) {
+            let key = (req.spec.class, priority(&req), req.spec.arrival, req.spec.id);
+            let dup = self.index.insert(key, req);
+            assert!(dup.is_none(), "request {} is waiting twice", key.3);
+        }
     }
 
-    /// Removes and returns the request at `idx` in O(1) (the last element
-    /// takes its place). Storage order is free to change: the scheduler
-    /// selects by the total key `(policy priority, arrival, id)`, which is
-    /// independent of position, so admission stays deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    pub fn remove(&mut self, idx: usize) -> QueuedRequest {
-        self.waiting.swap_remove(idx)
+    /// The indexed request with the smallest admission key, if any.
+    /// Requests pushed since the last [`index_pending`](Self::index_pending)
+    /// are not considered.
+    pub fn peek(&self) -> Option<&QueuedRequest> {
+        self.index.first_key_value().map(|(_, req)| req)
     }
 
-    /// Removes and returns the entire waiting set (crash teardown: the
-    /// group is dying and its queue must be handed back to the router).
-    /// Peak-depth and enqueue counters are preserved — the requests *were*
-    /// queued here.
+    /// Removes and returns the request [`peek`](Self::peek) shows.
+    pub fn pop(&mut self) -> Option<QueuedRequest> {
+        self.index.pop_first().map(|(_, req)| req)
+    }
+
+    /// Removes and returns the entire waiting set in no particular order
+    /// (crash teardown: the group is dying and its queue must be handed
+    /// back to the router). Peak-depth and enqueue counters are preserved —
+    /// the requests *were* queued here.
     pub fn drain(&mut self) -> Vec<QueuedRequest> {
-        std::mem::take(&mut self.waiting)
+        self.pending.drain(..).chain(std::mem::take(&mut self.index).into_values()).collect()
     }
 
-    /// Requests currently waiting.
+    /// Requests currently waiting, pending and indexed.
     pub fn len(&self) -> usize {
-        self.waiting.len()
+        self.pending.len() + self.index.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.waiting.is_empty()
+        self.len() == 0
     }
 
     /// Largest depth the queue ever reached.
@@ -340,18 +350,37 @@ mod tests {
     #[test]
     fn queue_stores_waiting_set_and_tracks_peak() {
         let mut q = RequestQueue::new();
-        for i in 0..5 {
+        for i in [3, 0, 4, 1, 2] {
             q.push(QueuedRequest::fresh(spec(i)));
         }
         assert_eq!(q.peak_depth(), 5);
         assert_eq!(q.total_enqueued(), 5);
-        assert_eq!(q.remove(2).spec.id, RequestId(2));
+        // Nothing is served until the pending buffer is keyed.
+        assert!(q.peek().is_none());
+        // Key by descending id: the index serves 4, 3, … regardless of
+        // push order.
+        q.index_pending(|r| -(r.spec.id.0 as i128));
+        assert_eq!(q.pop().map(|r| r.spec.id), Some(RequestId(4)));
+        assert_eq!(q.peek().map(|r| r.spec.id), Some(RequestId(3)));
         assert_eq!(q.len(), 4);
-        // swap_remove reorders storage but never loses an element.
-        let mut ids: Vec<u64> = q.iter().map(|r| r.spec.id.0).collect();
+        // A later push waits in the pending buffer but counts towards depth.
+        q.push(QueuedRequest::fresh(spec(9)));
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.total_enqueued(), 6);
+        let mut ids: Vec<u64> = q.drain().iter().map(|r| r.spec.id.0).collect();
         ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1, 3, 4]);
+        assert_eq!(ids, vec![0, 1, 2, 3, 9]);
+        assert!(q.is_empty());
         assert_eq!(q.peak_depth(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "waiting twice")]
+    fn duplicate_admission_key_panics() {
+        let mut q = RequestQueue::new();
+        q.push(QueuedRequest::fresh(spec(7)));
+        q.push(QueuedRequest::fresh(spec(7)));
+        q.index_pending(|_| 0);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use cent_types::consts::CHANNEL_CAPACITY;
 use cent_types::Time;
 
 use crate::policy::{Fifo, PolicyContext, SchedulingPolicy};
-use crate::queue::{PriorityClass, QueuedRequest, RequestId, RequestQueue, RequestSpec};
+use crate::queue::{QueuedRequest, RequestId, RequestQueue, RequestSpec};
 
 /// KV-cache capacity of one pipeline replica, in context tokens.
 ///
@@ -173,22 +173,6 @@ struct Lease {
     class: u8,
 }
 
-/// Snapshot of a failed head-of-line admission, so the next
-/// [`admit_ready`](ContinuousBatchScheduler::admit_ready) call can skip the
-/// full selection scan when nothing that matters has changed. Valid while
-/// the release epoch is unchanged (no capacity freed) and only *new*
-/// arrivals were pushed behind `seen_len`; any queue removal goes through
-/// an admission, which consumes the cache.
-#[derive(Debug, Clone, Copy)]
-struct BlockedHead {
-    /// Total admission-order key of the blocked head pick.
-    key: (PriorityClass, i128, Time, RequestId),
-    /// Queue length already scanned; only the suffix beyond it is new.
-    seen_len: usize,
-    /// [`ContinuousBatchScheduler::release_epoch`] at the failed attempt.
-    release_epoch: u64,
-}
-
 /// Policy-driven continuous-batching scheduler over replicated pipelines.
 #[derive(Debug)]
 pub struct ContinuousBatchScheduler {
@@ -207,11 +191,6 @@ pub struct ContinuousBatchScheduler {
     peak_kv: u64,
     admissions: u64,
     preemptions: u64,
-    /// Bumped by every [`release`](Self::release) (completion or
-    /// preemption) — the only events that can unblock a stuck head.
-    release_epoch: u64,
-    /// Cached head-of-line block from the last failed admission attempt.
-    blocked: Option<BlockedHead>,
 }
 
 impl ContinuousBatchScheduler {
@@ -235,8 +214,6 @@ impl ContinuousBatchScheduler {
             peak_kv: 0,
             admissions: 0,
             preemptions: 0,
-            release_epoch: 0,
-            blocked: None,
             cfg,
         }
     }
@@ -315,7 +292,6 @@ impl ContinuousBatchScheduler {
         self.busy_total -= 1;
         self.kv_total -= l.kv_now;
         self.free_leases.push(lease);
-        self.release_epoch += 1;
         l
     }
 
@@ -328,38 +304,19 @@ impl ContinuousBatchScheduler {
     /// Head-of-line blocking on that order is deliberate: it is what makes
     /// saturation fair.
     ///
-    /// Overload fast path: when the head pick could not be placed and no
-    /// lease has been released since (same `release_epoch`, bumped by
-    /// every completion/preemption), the head is still blocked — only the
-    /// *new* arrivals pushed since the failed attempt need scanning, and
-    /// only to check whether one of them outranks the cached head. On
-    /// saturated shapes this turns every queue re-walk between releases
-    /// into O(new arrivals) instead of O(queue depth). Correct because
-    /// in-tree policies order on request state only (not `ctx.now`), so a
-    /// key that lost stays losing until capacity frees up.
+    /// Requests enqueued since the last call are keyed here, once, with
+    /// `ctx`, and filed into the queue's ordered index; each admission then
+    /// pops the index head, so a call costs `O(log n)` per newly keyed or
+    /// admitted request, independent of queue depth. Keying once is exact
+    /// because [`SchedulingPolicy`] priorities are stable between admission
+    /// instants; a preempted request is keyed afresh when
+    /// [`requeue`](Self::requeue) returns it.
     pub fn admit_ready(&mut self, ctx: &PolicyContext) -> Vec<Admission> {
-        if let Some(b) = self.blocked.take() {
-            if b.release_epoch == self.release_epoch {
-                let policy = &self.policy;
-                let outranked = self.queue.iter().skip(b.seen_len).any(|q| {
-                    (q.spec.class, policy.priority(q, ctx), q.spec.arrival, q.spec.id) < b.key
-                });
-                if !outranked {
-                    // Same capacity, no better pick: still blocked.
-                    self.blocked = Some(BlockedHead { seen_len: self.queue.len(), ..b });
-                    return Vec::new();
-                }
-            }
-        }
+        let policy = &self.policy;
+        self.queue.index_pending(|q| policy.priority(q, ctx));
         let mut admitted = Vec::new();
-        loop {
-            let policy = &self.policy;
-            let Some(idx) = self.queue.min_index_by_key(|q| {
-                (q.spec.class, policy.priority(q, ctx), q.spec.arrival, q.spec.id)
-            }) else {
-                break;
-            };
-            let need = self.admission_kv(self.queue.get(idx));
+        while let Some(head) = self.queue.peek() {
+            let need = self.admission_kv(head);
             let limit = self.admission_limit();
             // Least-loaded replica that can take the pick; ties on busy
             // slots break on KV reserved so reservations spread evenly.
@@ -373,15 +330,9 @@ impl ContinuousBatchScheduler {
                 })
                 .min_by_key(|(i, r)| (r.busy_slots, r.kv_reserved, *i));
             let Some((ridx, _)) = slot else {
-                let q = self.queue.get(idx);
-                self.blocked = Some(BlockedHead {
-                    key: (q.spec.class, policy.priority(q, ctx), q.spec.arrival, q.spec.id),
-                    seen_len: self.queue.len(),
-                    release_epoch: self.release_epoch,
-                });
                 break;
             };
-            let req = self.queue.remove(idx);
+            let req = self.queue.pop().expect("peeked head is indexed");
             let lease = self.alloc_lease(Lease {
                 id: req.spec.id,
                 replica: ridx,
@@ -505,13 +456,11 @@ impl ContinuousBatchScheduler {
         self.release(lease);
     }
 
-    /// Removes and returns the entire waiting set — crash teardown. The
-    /// caller is responsible for releasing in-flight leases separately
-    /// (via [`complete`](Self::complete)); this only empties the queue and
-    /// invalidates the blocked-head cache, which may point at a drained
-    /// request.
+    /// Removes and returns the entire waiting set, in no particular order —
+    /// crash teardown. The caller is responsible for releasing in-flight
+    /// leases separately (via [`complete`](Self::complete)); this only
+    /// empties the queue.
     pub fn drain_waiting(&mut self) -> Vec<QueuedRequest> {
-        self.blocked = None;
         self.queue.drain()
     }
 
@@ -875,26 +824,26 @@ mod tests {
     }
 
     #[test]
-    fn blocked_head_cache_preserves_admission_order() {
-        // One slot, occupied: every admission attempt blocks. The cached
-        // blocked head must not change what gets admitted — later arrivals
-        // that outrank the cached head (lower class) still win once
-        // capacity frees up, and same-class arrivals stay behind it.
+    fn blocked_head_preserves_admission_order() {
+        // One slot, occupied: every admission attempt blocks on the index
+        // head. Re-polls must not change what gets admitted — later
+        // arrivals that outrank the blocked head (lower class) still win
+        // once capacity frees up, and same-class arrivals stay behind it.
         let mut s = sched(1, 1, u64::MAX);
         s.enqueue(classed(0, 4, 4, 0));
         let first = s.admit_ready(&ctx(0));
         assert_eq!(first.len(), 1);
         s.enqueue(classed(1, 4, 4, 1));
         assert!(s.admit_ready(&ctx(1)).is_empty(), "slot is busy");
-        // Re-poll without any release: the fast path answers.
+        // Re-poll without any release: the head is still blocked.
         assert!(s.admit_ready(&ctx(2)).is_empty());
         assert!(s.admit_ready(&ctx(3)).is_empty());
-        // A higher-class (interactive) arrival outranks the cached head;
-        // still no capacity, but the cache must now track the new head.
+        // A higher-class (interactive) arrival outranks the blocked head
+        // and becomes the new index head; still no capacity.
         s.enqueue(classed(2, 4, 4, 0));
         assert!(s.admit_ready(&ctx(4)).is_empty());
         // Capacity frees: the interactive request is admitted first even
-        // though the background one was cached as the head earlier.
+        // though the background one was the blocked head earlier.
         s.complete(first[0].lease);
         let adm = s.admit_ready(&ctx(5));
         assert_eq!(adm.len(), 1);
@@ -906,7 +855,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_head_cache_survives_same_rank_arrivals() {
+    fn blocked_head_survives_same_rank_arrivals() {
         // New arrivals behind a blocked head (same class, later FIFO order)
         // must neither unblock it nor get admitted out of order.
         let mut s = sched(1, 1, u64::MAX);
