@@ -1,19 +1,19 @@
 //! Disaggregated prefill/decode fleets over a shared CXL KV pool.
 //!
-//! The base driver ([`simulate_fleet`](crate::simulate_fleet)) treats
-//! every group as a colocated full-service deployment. This module breaks
-//! that "identical groups" assumption: groups take a [`GroupRole`] —
-//! *prefill-specialized* or *decode-specialized* — and a finished prompt's
-//! KV pages travel between them through the bounded, switch-attached
-//! [`SharedKvPool`] of `cent-cxl`, at a price set by a
+//! The [fleet driver](crate::simulate_fleet) serves one tier of colocated
+//! full-service groups. This module splits that tier in two: groups take
+//! a [`GroupRole`] — *prefill-specialized* or *decode-specialized* — and a
+//! finished prompt's KV pages travel between them through the bounded,
+//! switch-attached [`SharedKvPool`] of `cent-cxl`, at a price set by a
 //! [`KvSwapCost`] carrying the extra switch-hop term
-//! ([`KvSwapCost::with_switch_hops`]).
+//! ([`KvSwapCost::with_switch_hops`]). The same epoch-stop driver runs
+//! both topologies; this module holds the phases only a split fleet has.
 //!
 //! # Request lifecycle
 //!
 //! 1. The router dispatches every **arrival** onto a *prefill* group
-//!    (load-snapshot routing, exactly as in the base driver, restricted to
-//!    the prefill subset). The prefill group runs the prompt — chunked
+//!    (load-snapshot routing, exactly as on a colocated fleet, restricted
+//!    to the prefill tier). The prefill group runs the prompt — chunked
 //!    ([`ServeOptions::with_prefill_chunk`]) so long prompts interleave —
 //!    and emits the request's *first token*, so TTFT is owned end to end
 //!    by the prefill tier.
@@ -34,19 +34,19 @@
 //!
 //! All cross-group logic — harvest, publish, claim, steal, routing — runs
 //! single-threaded at epoch stops, so the result is bit-identical across
-//! worker-thread counts just like the base driver. An all-
-//! [`Colocated`](GroupRole::Colocated) configuration delegates to
-//! [`simulate_fleet_instrumented`](crate::simulate_fleet_instrumented) verbatim and reproduces its
+//! worker-thread counts. An all-[`Colocated`](GroupRole::Colocated)
+//! configuration is the one-tier topology and reproduces
+//! [`simulate_fleet_instrumented`](crate::simulate_fleet_instrumented)'s
 //! [`FleetReport`] exactly (enforced by `tests/cluster_props.rs`).
 //!
 //! # Faults and recovery
 //!
 //! A [`FaultSchedule`](crate::FaultSchedule) on `fleet.faults` injects the
-//! base driver's crash/degrade/straggler events into the split fleet, plus
-//! [`PoolLinkDegrade`](FaultSpec::PoolLinkDegrade) windows that rescale
-//! the switch-hop handoff cost for publishes and rescues issued inside the
-//! window (the healthy cost is restored *exactly* when the window lifts).
-//! Tier crashes differ by role:
+//! crash/degrade/straggler events into the split fleet too, plus
+//! [`PoolLinkDegrade`](crate::FaultSpec::PoolLinkDegrade) windows that
+//! rescale the switch-hop handoff cost for publishes and rescues issued
+//! inside the window (the healthy cost is restored *exactly* when the
+//! window lifts). Tier crashes differ by role:
 //!
 //! * A **prefill** crash orphans incomplete prompts; completed publishes
 //!   are durable — the pool entry, its in-flight transfer and its visible
@@ -65,34 +65,30 @@
 //! [`RecoveryMode`](crate::RecoveryMode) (warm retention, per-tier standby
 //! reserves with role-matched promotion) and the saturation
 //! [`AdmissionPolicy`](crate::AdmissionPolicy) — fed by both tiers' loads
-//! *and* pool occupancy — compose exactly as in the base driver, and the
+//! *and* pool occupancy — compose exactly as on a colocated fleet, and the
 //! extended conservation invariant
 //! `completed + rejected + dropped + shed = offered` holds. A zero-fault
 //! schedule with an inactive admission policy reproduces the healthy
 //! split driver bit for bit (the pool never parks copies on that path).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use cent_cost::KvSwapCost;
 use cent_cxl::SharedKvPool;
-use cent_serving::{
-    GroupOutcome, GroupSim, PriorityClass, RequestRecord, RequestSpec, ServingSystem,
-};
+use cent_serving::{GroupOutcome, GroupSim, RequestRecord, RequestSpec, ServingSystem};
 use cent_types::Time;
 
 use crate::admission::fleet_saturation;
-use crate::fault::{FaultSpec, RecoveryMode};
-use crate::fleet::{
-    advance_groups, compile_faults, epoch_ceil, finish_groups, CompiledKind, FaultLog, FleetOptions,
-};
+use crate::fault::{epoch_ceil, FaultLog, FaultState};
+use crate::fleet::FleetOptions;
 use crate::report::FleetReport;
 use crate::router::{GroupLoad, RoutingPolicy};
 
 /// What one replica group does in a (possibly) disaggregated fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupRole {
-    /// Full-service: prefill and decode on the same group (the base
-    /// driver's only mode).
+    /// Full-service: prefill and decode on the same group (the one tier
+    /// of a colocated fleet).
     Colocated,
     /// Prompt processing only: receives arrivals, emits the first token,
     /// publishes the KV context into the shared pool.
@@ -233,20 +229,18 @@ pub struct DisaggOutcome {
 
 /// Simulates `trace` over a role-split fleet (see the module docs). With
 /// an all-colocated `disagg` config this is exactly
-/// [`simulate_fleet_instrumented`](crate::simulate_fleet_instrumented); with a prefill/decode split, prompts
-/// are routed to the prefill tier, contexts hand off through the shared
-/// pool, and the report grows handoff/pool/steal rows
-/// ([`FleetReport::disagg`]). A non-empty `fleet.faults` schedule (or an
-/// active admission policy) additionally produces the degraded-mode
-/// section with pool-rescue and shed accounting.
+/// [`simulate_fleet_instrumented`](crate::simulate_fleet_instrumented);
+/// with a prefill/decode split, prompts are routed to the prefill tier,
+/// contexts hand off through the shared pool, and the report grows
+/// handoff/pool/steal rows ([`FleetReport::disagg`]). A fault schedule or
+/// an active admission policy adds the degraded-mode section.
 ///
 /// # Panics
 ///
 /// Panics if `disagg.roles` does not cover `fleet.groups` exactly, mixes
-/// `Colocated` with specialized roles, lacks a prefill or decode group in
-/// split mode, if a standby reserve does not leave both tiers a serving
-/// group, or if a single context exceeds the pool bound (it could never
-/// publish).
+/// `Colocated` with specialized roles, leaves a tier empty (or all
+/// spares), if a single context exceeds the pool bound (it could never
+/// publish), or on any option the colocated driver rejects.
 pub fn simulate_fleet_disagg(
     system: &ServingSystem,
     trace: &[RequestSpec],
@@ -255,681 +249,318 @@ pub fn simulate_fleet_disagg(
     fleet: &FleetOptions,
     disagg: &DisaggConfig,
 ) -> DisaggOutcome {
-    assert_eq!(disagg.roles.len(), fleet.groups, "roles must cover every group of the fleet");
-    if disagg.is_colocated() {
-        let base =
-            crate::fleet::simulate_fleet_instrumented(system, trace, offered_qps, router, fleet);
-        return DisaggOutcome {
-            report: base.report,
-            groups: base.groups,
-            routed: base.routed,
-            log: DisaggLog::default(),
-            faults: base.faults,
-        };
-    }
-    assert!(
-        disagg.roles.iter().all(|r| *r != GroupRole::Colocated),
-        "a split fleet cannot mix colocated groups with specialized ones"
-    );
-    let prefill_ids: Vec<usize> =
-        (0..fleet.groups).filter(|&g| disagg.roles[g] == GroupRole::Prefill).collect();
-    let decode_ids: Vec<usize> =
-        (0..fleet.groups).filter(|&g| disagg.roles[g] == GroupRole::Decode).collect();
-    assert!(!prefill_ids.is_empty(), "a split fleet needs a prefill tier");
-    assert!(!decode_ids.is_empty(), "a split fleet needs a decode tier");
-    if let Some(g) = fleet.faults.max_group() {
-        assert!(
-            g < fleet.groups,
-            "fault schedule names group {g} of a {}-group fleet",
-            fleet.groups
-        );
-    }
-    assert!(fleet.retry.max_attempts > 0, "a request needs at least one attempt");
-    fleet.recovery.validate();
-    let epoch_ps = fleet.epoch.as_ps().max(1);
+    crate::fleet::run(system, trace, offered_qps, router, fleet, disagg)
+}
 
-    // Stragglers are construction-time, exactly as in the base driver.
-    let mut slowdowns = vec![1.0f64; fleet.groups];
-    for spec in fleet.faults.specs() {
-        if let FaultSpec::Straggler { group, slowdown } = *spec {
-            slowdowns[group] = slowdowns[group].max(slowdown);
+/// The phases only a split fleet has: harvesting finished prompts off the
+/// prefill tier, publishing their contexts into the shared pool, and
+/// claiming (or rescuing) them onto the decode tier. The driver builds one
+/// only when the decode tier is non-empty.
+pub(crate) struct DecodeTier<'a> {
+    cfg: &'a DisaggConfig,
+    prefill: Vec<usize>,
+    decode: Vec<usize>,
+    pool: SharedKvPool,
+    /// Parked copies engage only on the faulted durable path — the healthy
+    /// driver never parks, keeping the zero-fault run bit-identical.
+    park_copies: bool,
+    /// KV budget of one group: a footprint above it is rejected whole.
+    budget: u64,
+    /// Original specs awaiting their decode phase, by raw id.
+    pending: BTreeMap<u64, RequestSpec>,
+    /// Publishes refused for capacity, retried in `(finished, id)` order.
+    backlog: BTreeMap<(Time, u64), usize>,
+    /// Published entries awaiting a claim, in `(visible, id)` order; the
+    /// value is the pool → device transfer the claiming group will pay.
+    ready_claims: BTreeMap<(Time, u64), Time>,
+    /// Orphans of a decode crash whose parked pool copy survived, keyed
+    /// `(crash instant, id)`: the decode-phase spec and the parked token
+    /// count, redispatched at switch-hop cost at the next stop with a live
+    /// decode group.
+    rescues: BTreeMap<(Time, u64), (RequestSpec, u64)>,
+    /// Per-group completion cursors.
+    cursors: Vec<usize>,
+    loads: Vec<GroupLoad>,
+    log: DisaggLog,
+}
+
+impl<'a> DecodeTier<'a> {
+    pub(crate) fn new(
+        cfg: &'a DisaggConfig,
+        prefill: Vec<usize>,
+        decode: Vec<usize>,
+        sims: &[GroupSim],
+        faulty: bool,
+    ) -> Self {
+        DecodeTier {
+            cfg,
+            pool: SharedKvPool::new(cfg.pool_tokens, prefill.len()),
+            park_copies: faulty && cfg.durable_pool,
+            budget: sims[prefill[0]].kv_budget_tokens(),
+            pending: BTreeMap::new(),
+            backlog: BTreeMap::new(),
+            ready_claims: BTreeMap::new(),
+            rescues: BTreeMap::new(),
+            cursors: vec![0; sims.len()],
+            loads: Vec::with_capacity(decode.len()),
+            log: DisaggLog { pool_capacity_tokens: cfg.pool_tokens, ..DisaggLog::default() },
+            prefill,
+            decode,
         }
     }
-    let mut sims: Vec<GroupSim> = disagg
-        .roles
-        .iter()
-        .zip(slowdowns.iter())
-        .map(|(role, &s)| {
-            let serve = match (role, disagg.prefill_chunk) {
-                (GroupRole::Prefill, Some(chunk)) => fleet.serve.clone().with_prefill_chunk(chunk),
-                _ => fleet.serve.clone(),
-            };
-            if s > 1.0 {
-                GroupSim::new(&system.slowed(s), serve)
-            } else {
-                GroupSim::new(system, serve)
-            }
-        })
-        .collect();
 
-    let mut pool = SharedKvPool::new(disagg.pool_tokens, prefill_ids.len());
-    // Egress link of each prefill group: its rank within the prefill tier.
-    let link_of: BTreeMap<usize, usize> =
-        prefill_ids.iter().enumerate().map(|(link, &g)| (g, link)).collect();
-    let mut log = DisaggLog { pool_capacity_tokens: disagg.pool_tokens, ..DisaggLog::default() };
-
-    // Fault machinery, mirroring the base driver (shared compiled events).
-    let events = compile_faults(&fleet.faults, epoch_ps);
-    let faulty = !fleet.faults.is_empty();
-    let shedding = fleet.admission.is_active();
-    let track = faulty || shedding;
-    // Parked copies engage only on the faulted durable path — the healthy
-    // driver never parks, keeping the zero-fault run bit-identical.
-    let park_copies = faulty && disagg.durable_pool;
-    let mut next_event = 0usize;
-    let mut alive = vec![true; fleet.groups];
-    let mut down_since: Vec<Option<Time>> = vec![None; fleet.groups];
-    let mut active_degrades: Vec<f64> = Vec::new();
-    let mut effective_factor = 1.0f64;
-    // Pool-link windows rescale the switch-hop handoff cost; the healthy
-    // cost is restored exactly (no float round trip) when none is active.
-    let mut pool_degrades: Vec<f64> = Vec::new();
-    let mut cur_handoff: KvSwapCost = disagg.handoff_cost;
-    let mut flog = FaultLog::default();
-    let mut retries_by_class: BTreeMap<PriorityClass, u64> = BTreeMap::new();
-    // Prefill-tier dispatch counts per raw id (arrivals + redispatches).
-    let mut attempts: BTreeMap<u64, u32> = BTreeMap::new();
-    // Re-prefill queue holding ORIGINAL specs, in `(ready, arrival, id)`
-    // order: crash orphans waiting out their backoff, and arrivals that
-    // found the prefill tier down.
-    let mut pending_prefill: BTreeMap<(Time, Time, u64), RequestSpec> = BTreeMap::new();
-    // Orphans of a decode crash whose parked pool copy survived, keyed
-    // `(crash instant, id)`: value is the decode-phase spec and the parked
-    // token count, redispatched at switch-hop cost at the next stop with a
-    // live decode group.
-    let mut rescue_queue: BTreeMap<(Time, u64), (RequestSpec, u64)> = BTreeMap::new();
-    // Warm retention, per crashed group (see the base driver).
-    let mut retained: BTreeMap<usize, Vec<RequestSpec>> = BTreeMap::new();
-    let id_to_index: BTreeMap<u64, usize> = if faulty {
-        trace.iter().enumerate().map(|(i, s)| (s.id.0, i)).collect()
-    } else {
-        BTreeMap::new()
-    };
-    // Standby reserves are per tier: the last `spares` groups of each role
-    // idle outside the serving set, and promotion is role-matched.
-    let mut in_service = vec![true; fleet.groups];
-    let mut spare_pool: BTreeSet<usize> = BTreeSet::new();
-    if let RecoveryMode::Standby { spares } = fleet.recovery {
-        assert!(
-            spares < prefill_ids.len() && spares < decode_ids.len(),
-            "a standby reserve of {spares} spares needs more than {spares} groups in each tier"
-        );
-        for tier in [&prefill_ids, &decode_ids] {
-            for &g in tier.iter().rev().take(spares) {
-                in_service[g] = false;
-                spare_pool.insert(g);
-            }
-        }
-    }
-    let slots_per_group = system.total_slots() as u64;
-    let kv_budget_per_group = system.kv_budget_tokens() * system.replicas() as u64;
-
-    // Original specs awaiting their decode phase, by raw id.
-    let mut pending_decode: BTreeMap<u64, RequestSpec> = BTreeMap::new();
-    // Publishes refused for capacity, retried in `(finished, id)` order.
-    let mut backlog: BTreeMap<(Time, u64), usize> = BTreeMap::new();
-    // Published entries awaiting a claim, in `(visible, id)` order; the
-    // value is the pool → device transfer the claiming group will pay.
-    let mut ready_claims: BTreeMap<(Time, u64), Time> = BTreeMap::new();
-    let mut cursors = vec![0usize; fleet.groups];
-    let mut routed = vec![usize::MAX; trace.len()];
-    let mut prefill_loads: Vec<GroupLoad> = Vec::with_capacity(prefill_ids.len());
-    let mut decode_loads: Vec<GroupLoad> = Vec::with_capacity(decode_ids.len());
-    let mut cursor = 0usize;
-    let mut now = Time::ZERO;
-    loop {
-        debug_assert!(
-            cursor == 0
-                || cursor >= trace.len()
-                || trace[cursor - 1].arrival <= trace[cursor].arrival,
-            "trace must be sorted by arrival"
-        );
-        // Candidate stops, all on the epoch grid: the epoch of the next
-        // arrival, the next fault event, the first claimable pool entry or
-        // pending rescue (only while a decode group serves — while the
-        // whole tier is down, only a fault event can unblock them), the
-        // next re-prefill ready instant (likewise gated on the prefill
-        // tier), and — while the prefill tier still owes completions or
-        // the backlog holds deferred publishes — the next grid instant, so
-        // harvest keeps polling. A decode tier that is down with no fault
-        // event left can never drain the pipeline: the driver stops
-        // polling (`stalled`) and the leftovers are accounted as drops.
-        let decode_up = decode_ids.iter().any(|&g| alive[g] && in_service[g]);
-        let prefill_up = prefill_ids.iter().any(|&g| alive[g] && in_service[g]);
-        let arrival_stop =
-            trace.get(cursor).map(|s| Time::from_ps((s.arrival.as_ps() / epoch_ps) * epoch_ps));
-        let fault_stop = events.get(next_event).map(|e| e.at);
-        let claim_stop = if decode_up {
-            let claim = ready_claims.keys().next().map(|&(vis, _)| epoch_ceil(vis, epoch_ps));
-            let rescue = rescue_queue.keys().next().map(|&(at, _)| epoch_ceil(at, epoch_ps));
-            [claim, rescue].into_iter().flatten().min()
-        } else {
-            None
-        };
-        let retry_stop = if prefill_up {
-            pending_prefill.keys().next().map(|&(ready, _, _)| epoch_ceil(ready, epoch_ps))
-        } else {
-            None
-        };
-        let stalled = !decode_up && next_event >= events.len();
+    /// The pipeline's next stop: the first claimable entry or rescue (while
+    /// a decode group serves), and — while the prefill tier owes
+    /// completions or publishes are deferred — the next grid instant, so
+    /// harvest keeps polling. A decode tier down for good stalls the
+    /// pipeline: polling stops and the leftovers are accounted as drops.
+    pub(crate) fn next_stop(
+        &self,
+        now: Time,
+        sims: &[GroupSim],
+        faults: &FaultState,
+        epoch_ps: u64,
+    ) -> Option<Time> {
+        let decode_up = self.decode.iter().any(|&g| faults.serving(g));
+        let claim = self.ready_claims.keys().next().map(|&(visible, _)| visible);
+        let rescue = self.rescues.keys().next().map(|&(crashed, _)| crashed);
+        let claim_stop = [claim, rescue].into_iter().flatten().min().filter(|_| decode_up);
+        let stalled = !decode_up && faults.next_at().is_none();
         let busy = !stalled
-            && (!backlog.is_empty() || prefill_ids.iter().any(|&g| sims[g].outstanding() > 0));
-        let busy_stop = busy.then(|| {
-            Time::from_ps(
-                (now.as_ps() / epoch_ps + 1)
-                    .checked_mul(epoch_ps)
-                    .expect("epoch grid instant overflows Time"),
-            )
-        });
-        let Some(stop) = [arrival_stop, fault_stop, claim_stop, retry_stop, busy_stop]
-            .into_iter()
-            .flatten()
-            .min()
-        else {
-            break;
-        };
-        // A publish can land with `visible` already in the past (the
-        // prompt finished early in the epoch and the transfer is short),
-        // which would put `claim_stop` behind the fleet. The driver never
-        // rewinds: such claims are taken at the current stop instead.
-        let t = stop.max(now);
-        now = t;
-        advance_groups(&mut sims, t, fleet.threads);
+            && (!self.backlog.is_empty()
+                || self.prefill.iter().any(|&g| sims[g].outstanding() > 0));
+        // `now` is a grid instant, so this is the next one.
+        let busy_stop = busy.then(|| epoch_ceil(now + Time::from_ps(1), epoch_ps));
+        let claim_stop = claim_stop.map(|at| epoch_ceil(at, epoch_ps));
+        [claim_stop, busy_stop].into_iter().flatten().min()
+    }
 
-        // Fault phase: apply every event due at this stop, in compiled
-        // order, from this single thread (before any cross-group logic, so
-        // claims, publishes and routing at this stop see the new state).
-        while next_event < events.len() && events[next_event].at == t {
-            let e = events[next_event];
-            next_event += 1;
-            match e.kind {
-                CompiledKind::Crash { recovers } => {
-                    if !alive[e.group] {
-                        continue;
-                    }
-                    alive[e.group] = false;
-                    down_since[e.group] = Some(t);
-                    flog.crashes += 1;
-                    let was_serving = in_service[e.group];
-                    spare_pool.remove(&e.group);
-                    let role = disagg.roles[e.group];
-                    let orphans = sims[e.group].crash(t);
-                    let keep = match fleet.recovery {
-                        RecoveryMode::Warm { retained_fraction } if recovers => {
-                            (retained_fraction * orphans.len() as f64).floor() as usize
-                        }
-                        _ => 0,
-                    };
-                    for (i, spec) in orphans.into_iter().enumerate() {
-                        flog.orphaned.push((spec.id, t));
-                        if i < keep {
-                            // Warm retention: the KV survived on the group
-                            // and re-seeds at recovery (a decode orphan's
-                            // parked copy stays parked until completion).
-                            retained.entry(e.group).or_default().push(spec);
-                            continue;
-                        }
-                        let id = spec.id.0;
-                        if role == GroupRole::Decode {
-                            if park_copies {
-                                if let Some(tokens) = pool.rescue(id) {
-                                    rescue_queue.insert((t, id), (spec, tokens));
-                                    flog.pool_rescued.push((spec.id, t));
-                                    continue;
-                                }
-                            }
-                            // Copy evicted or pool volatile: the context
-                            // only survives as its prompt — re-prefill.
-                            flog.pool_lost += 1;
-                        }
-                        let orig = trace[*id_to_index.get(&id).expect("orphan is in the trace")];
-                        let n = *attempts.get(&id).expect("orphan was dispatched");
-                        if n >= fleet.retry.max_attempts {
-                            flog.dropped.push((spec.id, spec.class));
-                            pending_decode.remove(&id);
-                        } else {
-                            let ready = t + fleet.retry.backoff.times(u64::from(n));
-                            pending_prefill.insert((ready, orig.arrival, id), orig);
-                            // Re-inserted when the re-prefill dispatches.
-                            pending_decode.remove(&id);
-                        }
-                    }
-                    // Role-matched standby promotion.
-                    if was_serving {
-                        if let Some(&spare) = spare_pool.iter().find(|&&s| disagg.roles[s] == role)
-                        {
-                            spare_pool.remove(&spare);
-                            in_service[spare] = true;
-                            flog.promotions += 1;
-                        }
-                    }
-                }
-                CompiledKind::Recover => {
-                    if alive[e.group] {
-                        continue;
-                    }
-                    alive[e.group] = true;
-                    flog.recoveries += 1;
-                    let start = down_since[e.group].take().expect("recovering group was down");
-                    flog.down_windows.push((e.group, start, Some(t)));
-                    match fleet.recovery {
-                        RecoveryMode::Standby { .. } => {
-                            in_service[e.group] = false;
-                            spare_pool.insert(e.group);
-                            let role = disagg.roles[e.group];
-                            let serving = (0..fleet.groups)
-                                .any(|g| disagg.roles[g] == role && alive[g] && in_service[g]);
-                            if !serving {
-                                let &spare = spare_pool
-                                    .iter()
-                                    .find(|&&s| disagg.roles[s] == role)
-                                    .expect("just inserted a spare of this role");
-                                spare_pool.remove(&spare);
-                                in_service[spare] = true;
-                                flog.promotions += 1;
-                            }
-                        }
-                        RecoveryMode::Warm { .. } => match retained.remove(&e.group) {
-                            Some(kept) if !kept.is_empty() => {
-                                flog.warm_rejoins += 1;
-                                for spec in kept {
-                                    sims[e.group].push_warm(spec, t);
-                                }
-                            }
-                            _ => flog.cold_rejoins += 1,
-                        },
-                        RecoveryMode::Cold => flog.cold_rejoins += 1,
-                    }
-                }
-                CompiledKind::DegradeStart { factor } => {
-                    active_degrades.push(factor);
-                    let eff = active_degrades.iter().copied().fold(1.0, f64::min);
-                    if eff != effective_factor {
-                        effective_factor = eff;
-                        for sim in sims.iter_mut() {
-                            sim.set_host_link_factor(eff);
-                        }
-                    }
-                }
-                CompiledKind::DegradeEnd { factor } => {
-                    let pos = active_degrades
-                        .iter()
-                        .position(|&f| f == factor)
-                        .expect("degrade window was active");
-                    active_degrades.swap_remove(pos);
-                    let eff = active_degrades.iter().copied().fold(1.0, f64::min);
-                    if eff != effective_factor {
-                        effective_factor = eff;
-                        for sim in sims.iter_mut() {
-                            sim.set_host_link_factor(eff);
-                        }
-                    }
-                }
-                CompiledKind::PoolDegradeStart { factor } => {
-                    pool_degrades.push(factor);
-                    let eff = pool_degrades.iter().copied().fold(1.0, f64::min);
-                    cur_handoff = if eff == 1.0 {
-                        disagg.handoff_cost
-                    } else {
-                        disagg.handoff_cost.with_bandwidth_factor(eff)
-                    };
-                }
-                CompiledKind::PoolDegradeEnd { factor } => {
-                    let pos = pool_degrades
-                        .iter()
-                        .position(|&f| f == factor)
-                        .expect("pool degrade window was active");
-                    pool_degrades.swap_remove(pos);
-                    let eff = pool_degrades.iter().copied().fold(1.0, f64::min);
-                    cur_handoff = if eff == 1.0 {
-                        disagg.handoff_cost
-                    } else {
-                        disagg.handoff_cost.with_bandwidth_factor(eff)
-                    };
+    /// A crash orphaned `spec`. A decode-tier orphan whose parked pool copy
+    /// survived is queued for rescue (returns `true`); anything else loses
+    /// its decode phase and must rerun from the prompt.
+    pub(crate) fn orphan(
+        &mut self,
+        log: &mut FaultLog,
+        decode_role: bool,
+        spec: RequestSpec,
+        t: Time,
+    ) -> bool {
+        let id = spec.id.0;
+        if decode_role {
+            if self.park_copies {
+                if let Some(tokens) = self.pool.rescue(id) {
+                    self.rescues.insert((t, id), (spec, tokens));
+                    log.pool_rescued.push((spec.id, t));
+                    return true;
                 }
             }
+            // Copy evicted or pool volatile: the context only survives as
+            // its prompt — re-prefill.
+            log.pool_lost += 1;
         }
+        // Re-inserted when the re-prefill dispatches.
+        self.pending.remove(&id);
+        false
+    }
 
-        // Tier status after this stop's fault events.
-        let decode_up = decode_ids.iter().any(|&g| alive[g] && in_service[g]);
-        let prefill_up = prefill_ids.iter().any(|&g| alive[g] && in_service[g]);
+    /// The prompt phase of `spec` to dispatch onto the prefill tier: it
+    /// runs the prompt and emits the first token (`decode: 1`), so TTFT
+    /// lands on the prefill group. A footprint no replica budget can hold
+    /// is dispatched whole to be rejected there (as a colocated fleet
+    /// would), so its truncated prompt phase never runs.
+    pub(crate) fn admit(&mut self, spec: RequestSpec) -> RequestSpec {
+        if spec.kv_tokens() > self.budget {
+            return spec;
+        }
+        self.pending.insert(spec.id.0, spec);
+        RequestSpec { decode: 1, ..spec }
+    }
 
-        // Harvest phase: newly completed prefill phases, merged across
-        // the tier in `(finished, group, id)` order. A single-token
-        // request is finished outright; everything else queues for
-        // publish. Crash-surviving records stay in a group's tail, so
-        // cursors keep working across outages.
+    /// Fleet saturation over both tiers' serving loads plus pool
+    /// occupancy; `prefill_loads` is the driver's entry-tier snapshot.
+    pub(crate) fn saturation(
+        &self,
+        prefill_loads: &[GroupLoad],
+        sims: &[GroupSim],
+        faults: &FaultState,
+        slots_per_group: u64,
+        kv_budget_per_group: u64,
+    ) -> f64 {
+        let mut combined = prefill_loads.to_vec();
+        combined.extend(faults.serving_loads(&self.decode, sims));
+        let pool = Some((self.pool.used_tokens(), self.cfg.pool_tokens));
+        fleet_saturation(&combined, slots_per_group, kv_budget_per_group, pool)
+    }
+
+    /// The handoff phases of one stop, after the fault phase: harvest
+    /// finished prompts, claim and rescue onto the decode tier (claims
+    /// free pool capacity, so this stop's deferred publishes can retry
+    /// into the space), then publish.
+    pub(crate) fn step(
+        &mut self,
+        t: Time,
+        sims: &mut [GroupSim],
+        faults: &FaultState,
+        router: &mut dyn RoutingPolicy,
+        epoch_ps: u64,
+    ) {
+        // Harvest: newly completed prefill phases, merged across the tier
+        // in `(finished, group, id)` order. Crash-surviving records stay
+        // in a group's tail, so cursors keep working across outages.
         let mut finished: Vec<(Time, usize, u64)> = Vec::new();
-        for &g in &prefill_ids {
-            let new = sims[g].completions_since(cursors[g]);
-            cursors[g] += new.len();
+        for &g in &self.prefill {
+            let new = sims[g].completions_since(self.cursors[g]);
+            self.cursors[g] += new.len();
             finished.extend(new.iter().map(|r| (r.finished, g, r.spec.id.0)));
         }
         finished.sort_unstable();
         // Decode-tier completions retire their parked pool copies.
-        if park_copies {
-            for &g in &decode_ids {
-                let new = sims[g].completions_since(cursors[g]);
-                cursors[g] += new.len();
+        if self.park_copies {
+            for &g in &self.decode {
+                let new = sims[g].completions_since(self.cursors[g]);
+                self.cursors[g] += new.len();
                 for r in new {
-                    pool.discard_parked(r.spec.id.0);
+                    self.pool.discard_parked(r.spec.id.0);
                 }
             }
         }
+        // Publishes and rescues inside a pool-degrade window pay the
+        // degraded cost.
+        let cost = faults.pool_cost(self.cfg.handoff_cost);
 
-        // Claim phase first: claims free pool capacity, so this stop's
-        // deferred publishes can retry into the space. The decode load
-        // snapshot is taken once over the serving subset, then bumped
-        // optimistically per claim; pool rescues dispatch after the
-        // regular claims, in `(crash instant, id)` order.
-        if decode_up {
-            decode_loads.clear();
-            for &g in &decode_ids {
-                if alive[g] && in_service[g] {
-                    decode_loads.push(GroupLoad {
-                        group: g,
-                        outstanding: sims[g].outstanding(),
-                        kv_tokens: sims[g].kv_reserved(),
-                    });
-                }
-            }
-            while let Some((&(visible, id), &transfer)) = ready_claims.iter().next() {
-                if epoch_ceil(visible, epoch_ps) > t {
+        // Claims: the decode load snapshot is taken once over the serving
+        // subset, then bumped optimistically per claim; pool rescues
+        // dispatch after the regular claims, in `(crash instant, id)`
+        // order.
+        self.loads.clear();
+        self.loads.extend(faults.serving_loads(&self.decode, sims));
+        if !self.loads.is_empty() {
+            while let Some(head) = self.ready_claims.first_entry() {
+                if epoch_ceil(head.key().0, epoch_ps) > t {
                     break;
                 }
-                ready_claims.remove(&(visible, id));
-                pool.claim(id, t);
-                let spec = pending_decode.remove(&id).expect("claimed context was pending");
-                if park_copies {
+                let ((visible, id), transfer) = head.remove_entry();
+                self.pool.claim(id, t);
+                let spec = self.pending.remove(&id).expect("claimed context was pending");
+                if self.park_copies {
                     // The claim freed the capacity; a capacity-free copy
                     // stays behind for crash rescue.
-                    pool.park(id, (spec.prompt + 1) as u64, t);
+                    self.pool.park(id, (spec.prompt + 1) as u64, t);
                 }
                 // The decode phase resumes from the published context:
                 // prompt + the first token, remaining tokens to stream.
                 let decode_spec =
                     RequestSpec { prompt: spec.prompt + 1, decode: spec.decode - 1, ..spec };
-                let mut pos = router.route(&decode_spec, &decode_loads);
-                assert!(
-                    pos < decode_loads.len(),
-                    "router chose position {pos} of {}",
-                    decode_loads.len()
-                );
-                // Steal-from-pool: a drained decode group takes the claim
-                // whenever the router's pick still has work queued.
-                if decode_loads[pos].outstanding > 0 {
-                    if let Some(idle) = decode_loads.iter().position(|l| l.outstanding == 0) {
-                        pos = idle;
-                        log.steals += 1;
-                    }
-                }
-                let g = decode_loads[pos].group;
-                sims[g].push_handoff(decode_spec, t, visible, transfer);
-                decode_loads[pos].outstanding += 1;
-                decode_loads[pos].kv_tokens += decode_spec.kv_tokens();
-                log.handoffs += 1;
+                self.hand_off(router, sims, decode_spec, t, visible, transfer);
             }
-            while let Some((&(crashed, id), &(decode_spec, tokens))) = rescue_queue.iter().next() {
-                rescue_queue.remove(&(crashed, id));
-                // The copy streams out of the pool at the current
-                // (possibly degraded) switch-hop cost; it is re-parked so
-                // a repeated crash can rescue it again.
-                let transfer = cur_handoff.transfer_time(tokens);
-                pool.park(id, tokens, t);
-                let mut pos = router.route(&decode_spec, &decode_loads);
-                assert!(
-                    pos < decode_loads.len(),
-                    "router chose position {pos} of {}",
-                    decode_loads.len()
-                );
-                if decode_loads[pos].outstanding > 0 {
-                    if let Some(idle) = decode_loads.iter().position(|l| l.outstanding == 0) {
-                        pos = idle;
-                        log.steals += 1;
-                    }
-                }
-                let g = decode_loads[pos].group;
-                sims[g].push_handoff(decode_spec, t, t, transfer);
-                decode_loads[pos].outstanding += 1;
-                decode_loads[pos].kv_tokens += decode_spec.kv_tokens();
-                log.handoffs += 1;
+            while let Some(((_, id), (decode_spec, tokens))) = self.rescues.pop_first() {
+                // The copy streams out of the pool at the current switch-hop
+                // cost; it is re-parked so a repeated crash can rescue it
+                // again.
+                let transfer = cost.transfer_time(tokens);
+                self.pool.park(id, tokens, t);
+                self.hand_off(router, sims, decode_spec, t, t, transfer);
             }
         }
 
-        // Publish phase: deferred publishes retry first (oldest first),
-        // then this stop's fresh completions, all in deterministic order.
-        // Publishes inside a pool-degrade window pay the degraded cost.
-        let publish = |id: u64,
-                       group: usize,
-                       ready: Time,
-                       pending: &BTreeMap<u64, RequestSpec>,
-                       pool: &mut SharedKvPool,
-                       ready_claims: &mut BTreeMap<(Time, u64), Time>,
-                       cost: &KvSwapCost|
-         -> bool {
-            let spec = pending.get(&id).expect("publishing context is pending");
-            let tokens = (spec.prompt + 1) as u64;
-            assert!(
-                tokens <= disagg.pool_tokens,
-                "context of {tokens} tokens can never fit a {}-token pool",
-                disagg.pool_tokens
-            );
-            let transfer = cost.transfer_time(tokens);
-            let link = link_of[&group];
-            match pool.try_publish(id, tokens, ready, link, transfer) {
-                Some(visible) => {
-                    ready_claims.insert((visible, id), transfer);
-                    true
-                }
-                None => false,
-            }
-        };
-        let retries: Vec<((Time, u64), usize)> = backlog.iter().map(|(&k, &g)| (k, g)).collect();
-        for ((first_finished, id), group) in retries {
-            if publish(id, group, t, &pending_decode, &mut pool, &mut ready_claims, &cur_handoff) {
-                backlog.remove(&(first_finished, id));
+        // Publish: deferred publishes retry first (oldest first), then
+        // this stop's fresh completions. A single-token request is
+        // finished outright — nothing left to hand off.
+        for ((first_finished, id), group) in std::mem::take(&mut self.backlog) {
+            if !self.publish(id, group, t, &cost) {
+                self.backlog.insert((first_finished, id), group);
             }
         }
         for (finish_t, group, id) in finished {
-            let spec = pending_decode.get(&id).expect("completed prompt was pending");
+            let spec = self.pending.get(&id).expect("completed prompt was pending");
             if spec.decode <= 1 {
-                log.singles += 1;
-                pending_decode.remove(&id);
+                self.log.singles += 1;
+                self.pending.remove(&id);
                 continue;
             }
-            if !publish(
-                id,
-                group,
-                finish_t,
-                &pending_decode,
-                &mut pool,
-                &mut ready_claims,
-                &cur_handoff,
-            ) {
-                log.deferred += 1;
-                backlog.insert((finish_t, id), group);
-            }
-        }
-
-        // Prefill-tier load snapshot over the serving subset, shared by
-        // the redispatch and arrival phases (bumped continuously).
-        prefill_loads.clear();
-        for &g in &prefill_ids {
-            if alive[g] && in_service[g] {
-                prefill_loads.push(GroupLoad {
-                    group: g,
-                    outstanding: sims[g].outstanding(),
-                    kv_tokens: sims[g].kv_reserved(),
-                });
-            }
-        }
-
-        // Redispatch phase: pending re-prefills whose ready instant has
-        // aligned to this stop (or earlier), in `(ready, arrival, id)`
-        // order, routed over the serving prefill subset with their
-        // ORIGINAL specs — the whole pipeline reruns from the prompt.
-        if prefill_up && !prefill_loads.is_empty() {
-            while let Some((&key, _)) = pending_prefill.iter().next() {
-                if epoch_ceil(key.0, epoch_ps) > t {
-                    break;
-                }
-                let spec = pending_prefill.remove(&key).expect("peeked entry exists");
-                let fits = spec.kv_tokens() <= sims[prefill_ids[0]].kv_budget_tokens();
-                let prefill_spec = if fits { RequestSpec { decode: 1, ..spec } } else { spec };
-                let pos = router.route(&prefill_spec, &prefill_loads);
-                assert!(
-                    pos < prefill_loads.len(),
-                    "router chose position {pos} of {}",
-                    prefill_loads.len()
-                );
-                let g = prefill_loads[pos].group;
-                sims[g].push_redispatch(prefill_spec, t);
-                prefill_loads[pos].outstanding += 1;
-                prefill_loads[pos].kv_tokens += prefill_spec.kv_tokens();
-                let n = attempts.entry(spec.id.0).or_insert(0);
-                if *n > 0 {
-                    flog.retries += 1;
-                    *retries_by_class.entry(spec.class).or_insert(0) += 1;
-                }
-                *n += 1;
-                if fits {
-                    pending_decode.insert(spec.id.0, spec);
-                }
-                let idx = *id_to_index.get(&spec.id.0).expect("pending spec is in the trace");
-                if routed[idx] == usize::MAX {
-                    routed[idx] = g;
-                }
-            }
-        }
-
-        // Arrival phase: the epoch's arrivals route over the prefill
-        // tier's boundary snapshot, bumped optimistically. The prefill
-        // phase runs the prompt and emits the first token (`decode: 1`),
-        // so TTFT lands on the prefill group. Admission sheds first —
-        // against both tiers' loads plus pool occupancy — then a down
-        // prefill tier defers what remains.
-        let epoch_end =
-            Time::from_ps(t.as_ps().checked_add(epoch_ps).expect("epoch end overflows Time"));
-        while cursor < trace.len() && trace[cursor].arrival < epoch_end {
-            let spec = trace[cursor];
-            let idx = cursor;
-            cursor += 1;
-            assert!(spec.decode >= 1, "a request generates at least its first token");
-            if shedding {
-                let mut combined = prefill_loads.clone();
-                for &g in &decode_ids {
-                    if alive[g] && in_service[g] {
-                        combined.push(GroupLoad {
-                            group: g,
-                            outstanding: sims[g].outstanding(),
-                            kv_tokens: sims[g].kv_reserved(),
-                        });
-                    }
-                }
-                let sat = fleet_saturation(
-                    &combined,
-                    slots_per_group,
-                    kv_budget_per_group,
-                    Some((pool.used_tokens(), disagg.pool_tokens)),
-                );
-                if !fleet.admission.admits(spec.class, sat) {
-                    flog.shed.push((spec.id, spec.class));
-                    continue;
-                }
-            }
-            if prefill_loads.is_empty() {
-                pending_prefill.insert((spec.arrival, spec.arrival, spec.id.0), spec);
-                continue;
-            }
-            // A footprint no replica budget can hold is rejected with its
-            // *full* spec on the prefill group (as a colocated fleet
-            // would), so its truncated prompt phase never runs.
-            let fits = spec.kv_tokens() <= sims[prefill_ids[0]].kv_budget_tokens();
-            let prefill_spec = if fits { RequestSpec { decode: 1, ..spec } } else { spec };
-            let pos = router.route(&prefill_spec, &prefill_loads);
-            assert!(
-                pos < prefill_loads.len(),
-                "router chose position {pos} of {}",
-                prefill_loads.len()
-            );
-            let g = prefill_loads[pos].group;
-            sims[g].push_arrival(prefill_spec);
-            prefill_loads[pos].outstanding += 1;
-            prefill_loads[pos].kv_tokens += prefill_spec.kv_tokens();
-            routed[idx] = g;
-            if faulty {
-                *attempts.entry(spec.id.0).or_insert(0) += 1;
-            }
-            if fits {
-                pending_decode.insert(spec.id.0, spec);
+            if !self.publish(id, group, finish_t, &cost) {
+                self.log.deferred += 1;
+                self.backlog.insert((finish_t, id), group);
             }
         }
     }
-    debug_assert!(faulty || ready_claims.is_empty(), "every published context was claimed");
-    log.pool_peak_tokens = pool.peak_tokens();
-    log.pool_occupancy_token_s = pool.occupancy_token_seconds();
 
-    // On the faulted path the pipeline can end with work stranded behind
-    // a tier that never came back: undispatchable re-prefills, rescues
-    // with no decode group left, and prompts whose context was never
-    // claimed. All of them are drops (a true single still completes
-    // entirely on its prefill group, so it is not one).
-    if faulty {
-        for (_, spec) in pending_prefill {
-            flog.dropped.push((spec.id, spec.class));
+    /// Routes a decode-phase spec onto the decode tier and pushes it as a
+    /// handoff. A drained decode group steals the claim whenever the
+    /// router's pick still has work queued.
+    fn hand_off(
+        &mut self,
+        router: &mut dyn RoutingPolicy,
+        sims: &mut [GroupSim],
+        spec: RequestSpec,
+        t: Time,
+        visible: Time,
+        transfer: Time,
+    ) {
+        let loads = &mut self.loads;
+        let mut pos = router.route(&spec, loads);
+        assert!(pos < loads.len(), "router chose position {pos} of {}", loads.len());
+        if loads[pos].outstanding > 0 {
+            if let Some(idle) = loads.iter().position(|l| l.outstanding == 0) {
+                pos = idle;
+                self.log.steals += 1;
+            }
         }
-        for (_, (spec, _)) in rescue_queue {
-            flog.dropped.push((spec.id, spec.class));
+        sims[loads[pos].group].push_handoff(spec, t, visible, transfer);
+        loads[pos].outstanding += 1;
+        loads[pos].kv_tokens += spec.kv_tokens();
+        self.log.handoffs += 1;
+    }
+
+    /// Publishes the context of `id` from prefill group `group`, ready at
+    /// `ready`; returns whether the pool had room.
+    fn publish(&mut self, id: u64, group: usize, ready: Time, cost: &KvSwapCost) -> bool {
+        let spec = self.pending.get(&id).expect("publishing context is pending");
+        let tokens = (spec.prompt + 1) as u64;
+        assert!(
+            tokens <= self.cfg.pool_tokens,
+            "context of {tokens} tokens can never fit a {}-token pool",
+            self.cfg.pool_tokens
+        );
+        let transfer = cost.transfer_time(tokens);
+        // Egress link of a prefill group: its rank within the tier.
+        let link = self.prefill.binary_search(&group).expect("publisher is a prefill group");
+        match self.pool.try_publish(id, tokens, ready, link, transfer) {
+            Some(visible) => {
+                self.ready_claims.insert((visible, id), transfer);
+                true
+            }
+            None => false,
         }
-        for (_, spec) in pending_decode.iter() {
-            if spec.decode > 1 {
+    }
+
+    /// Closes the run. On the faulted path the pipeline can end with work
+    /// stranded behind a tier that never came back: rescues with no decode
+    /// group left and prompts whose context was never claimed are drops
+    /// (a true single still completes on its prefill group, so it is not
+    /// one).
+    pub(crate) fn finish(mut self, faulty: bool, flog: &mut FaultLog) -> DisaggLog {
+        debug_assert!(
+            faulty || self.ready_claims.is_empty(),
+            "every published context was claimed"
+        );
+        self.log.pool_peak_tokens = self.pool.peak_tokens();
+        self.log.pool_occupancy_token_s = self.pool.occupancy_token_seconds();
+        if faulty {
+            for (spec, _) in self.rescues.into_values() {
                 flog.dropped.push((spec.id, spec.class));
             }
+            for spec in self.pending.values().filter(|s| s.decode > 1) {
+                flog.dropped.push((spec.id, spec.class));
+            }
+        } else {
+            debug_assert!(
+                self.pending.is_empty(),
+                "every admitted prompt resolved its decode phase"
+            );
         }
-        debug_assert!(retained.is_empty(), "every warm retention rejoined");
-    } else {
-        debug_assert!(pending_decode.is_empty(), "every admitted prompt resolved its decode phase");
+        self.log
     }
-    for (g, since) in down_since.iter().enumerate() {
-        if let Some(start) = *since {
-            flog.down_windows.push((g, start, None));
-        }
-    }
-    flog.retries_by_class = retries_by_class.into_iter().collect();
-    if track {
-        flog.horizon = trace.last().map(|s| s.arrival).unwrap_or(Time::ZERO);
-    }
-
-    let per_group_qps = offered_qps / fleet.groups as f64;
-    let outcomes = finish_groups(sims, per_group_qps, fleet.threads);
-    let report = FleetReport::from_outcomes_disagg(
-        offered_qps,
-        &outcomes,
-        &disagg.roles,
-        &log,
-        if track { Some(&flog) } else { None },
-        fleet.serve.slo,
-    );
-    debug_assert!(
-        report.completed + report.rejected + flog.dropped.len() + flog.shed.len() == trace.len(),
-        "conservation: {} completed + {} rejected + {} dropped + {} shed != {} offered",
-        report.completed,
-        report.rejected,
-        flog.dropped.len(),
-        flog.shed.len(),
-        trace.len()
-    );
-    DisaggOutcome { report, groups: outcomes, routed, log, faults: flog }
 }
 
 /// Joins each handed-off request's prefill- and decode-phase records, by
@@ -1095,5 +726,16 @@ mod tests {
         let out = simulate_fleet_disagg(&sys, &trace, 30.0, &mut rr, &opts, &cfg);
         assert_eq!(out.report.completed, trace.len());
         assert!(out.log.steals > 0, "round-robin decode routing must leave a drained group");
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch must be positive")]
+    fn zero_epoch_is_rejected_on_a_split_fleet() {
+        // A zero epoch used to be clamped to 1 ps, and a split fleet then
+        // polled every picosecond while its prefill tier was busy.
+        let trace: Vec<RequestSpec> = trace(20.0, 5, 1.0).into_iter().take(4).collect();
+        let opts = FleetOptions { epoch: Time::ZERO, ..FleetOptions::new(2) };
+        let cfg = DisaggConfig::split(1, 1, 64_000, handoff_cost());
+        simulate_fleet_disagg(&tiny_system(), &trace, 20.0, &mut JoinShortestQueue, &opts, &cfg);
     }
 }

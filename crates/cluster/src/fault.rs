@@ -2,16 +2,23 @@
 //! host-link degradation and stragglers, plus the seeded chaos generator.
 //!
 //! A [`FaultSchedule`] is plain data — a validated list of [`FaultSpec`]s —
-//! consumed by the epoch driver in [`fleet`](crate::fleet): every fault
-//! instant is aligned to the driver's epoch grid and applied from a single
-//! thread in a fixed order, so a schedule perturbs *what* the fleet
-//! simulates, never the determinism contract (bit-identical
-//! [`FleetReport`](crate::FleetReport) across worker-thread counts).
+//! consumed by the epoch driver in [`fleet`](crate::fleet) through one
+//! fault/recovery state machine: every fault instant is aligned to the
+//! driver's epoch grid and applied from a single thread in a fixed order,
+//! so a schedule perturbs *what* the fleet simulates, never the
+//! determinism contract (bit-identical [`FleetReport`](crate::FleetReport)
+//! across worker-thread counts).
 //! [`FaultPlan::chaos`] draws a schedule from the in-tree SplitMix64, so a
 //! `(seed, rates)` pair names one reproducible bad day.
 
-use crate::disagg::GroupRole;
+use std::collections::{BTreeMap, BTreeSet};
+
+use cent_cost::KvSwapCost;
+use cent_serving::{GroupSim, PriorityClass, RequestId, RequestSpec};
 use cent_types::{Rng64, Time};
+
+use crate::disagg::GroupRole;
+use crate::router::GroupLoad;
 
 /// One injected fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,8 +64,7 @@ pub enum FaultSpec {
     /// contexts), stretching every transfer scheduled inside the window.
     /// Overlapping windows apply the most severe factor; the window ends
     /// by restoring the healthy cost model exactly (no float round trip).
-    /// Only the disaggregated driver has a pool — the colocated driver
-    /// ignores these specs.
+    /// A colocated fleet has no pool and ignores these specs.
     PoolLinkDegrade {
         /// Window start (aligned up to the next epoch boundary).
         at: Time,
@@ -244,9 +250,7 @@ pub struct ChaosRates {
     /// Slowdown applied to straggler groups, at least `1.0`.
     pub straggler_slowdown: f64,
     /// Mean pool-link degradations per second (0 disables). Only
-    /// [`FaultPlan::chaos_disagg`] reads this — [`FaultPlan::chaos`]
-    /// ignores the disagg fields entirely, so schedules drawn by it are
-    /// byte-identical to those drawn before the fields existed.
+    /// [`FaultPlan::chaos_disagg`] reads this and the fields below.
     pub pool_degrade_rate: f64,
     /// Mean pool-link degradation-window length, seconds.
     pub mean_pool_degrade_s: f64,
@@ -298,20 +302,21 @@ impl FaultPlan {
     /// the schedule for group `g` does not change when `groups` grows.
     /// Crash windows are sequential per group (a group cannot crash while
     /// it is already down); degrade windows are a single fleet-wide
-    /// sequential process.
+    /// sequential process. The pool-link and per-tier fields of `rates`
+    /// are ignored.
     ///
     /// # Panics
     ///
     /// Panics if a rate or factor is out of range (via
     /// [`FaultSchedule::new`]) or `horizon` is zero.
     pub fn chaos(seed: u64, groups: usize, horizon: Time, rates: &ChaosRates) -> FaultSchedule {
-        assert!(horizon > Time::ZERO, "chaos needs a positive horizon");
-        let mut specs = Vec::new();
-        for group in 0..groups {
-            Self::group_stream(seed, group, rates.crash_rate, horizon, rates, &mut specs);
-        }
-        Self::host_degrade_stream(seed, horizon, rates, &mut specs);
-        FaultSchedule::new(specs)
+        let rates = ChaosRates {
+            pool_degrade_rate: 0.0,
+            prefill_crash_mult: 1.0,
+            decode_crash_mult: 1.0,
+            ..*rates
+        };
+        Self::chaos_disagg(seed, &vec![GroupRole::Colocated; groups], horizon, &rates)
     }
 
     /// Draws a chaos schedule for a disaggregated fleet whose group `g`
@@ -345,79 +350,401 @@ impl FaultPlan {
                     GroupRole::Prefill => rates.prefill_crash_mult,
                     GroupRole::Decode => rates.decode_crash_mult,
                 };
-            Self::group_stream(seed, group, crash_rate, horizon, rates, &mut specs);
+            // One stream per group: sequential crash windows, then the
+            // straggler draw.
+            let mut rng = Rng64::seed(seed ^ (group as u64 + 1).wrapping_mul(STREAM_GAMMA));
+            if crash_rate > 0.0 {
+                let mut t = rng.exponential(crash_rate);
+                while t < horizon_s {
+                    let outage = rng.exponential(1.0 / rates.mean_outage_s).max(1e-6);
+                    specs.push(FaultSpec::GroupCrash {
+                        group,
+                        at: Time::from_secs_f64(t),
+                        recover_after: Some(Time::from_secs_f64(outage)),
+                    });
+                    t += outage + rng.exponential(crash_rate);
+                }
+            }
+            if rates.straggler_probability > 0.0
+                && rng.next_f64() < rates.straggler_probability
+                && rates.straggler_slowdown > 1.0
+            {
+                specs.push(FaultSpec::Straggler { group, slowdown: rates.straggler_slowdown });
+            }
         }
-        Self::host_degrade_stream(seed, horizon, rates, &mut specs);
-        if rates.pool_degrade_rate > 0.0 {
-            let mut rng = Rng64::seed(seed.wrapping_add(STREAM_GAMMA.wrapping_mul(2)));
-            let mut t = rng.exponential(rates.pool_degrade_rate);
+        // The fleet-wide host-link and pool-link window processes.
+        let windows = [
+            (1, rates.degrade_rate, rates.mean_degrade_s, rates.degrade_factor, false),
+            (
+                2,
+                rates.pool_degrade_rate,
+                rates.mean_pool_degrade_s,
+                rates.pool_degrade_factor,
+                true,
+            ),
+        ];
+        for (stream, rate, mean_s, bandwidth_factor, pool) in
+            windows.into_iter().filter(|w| w.1 > 0.0)
+        {
+            let mut rng = Rng64::seed(seed.wrapping_add(STREAM_GAMMA.wrapping_mul(stream)));
+            let mut t = rng.exponential(rate);
             while t < horizon_s {
-                let duration = rng.exponential(1.0 / rates.mean_pool_degrade_s).max(1e-6);
-                specs.push(FaultSpec::PoolLinkDegrade {
-                    at: Time::from_secs_f64(t),
-                    duration: Time::from_secs_f64(duration),
-                    bandwidth_factor: rates.pool_degrade_factor,
+                let length_s = rng.exponential(1.0 / mean_s).max(1e-6);
+                let (at, duration) = (Time::from_secs_f64(t), Time::from_secs_f64(length_s));
+                specs.push(if pool {
+                    FaultSpec::PoolLinkDegrade { at, duration, bandwidth_factor }
+                } else {
+                    FaultSpec::HostLinkDegrade { at, duration, bandwidth_factor }
                 });
-                t += duration + rng.exponential(rates.pool_degrade_rate);
+                t += length_s + rng.exponential(rate);
             }
         }
         FaultSchedule::new(specs)
     }
+}
 
-    /// One group's crash-and-straggler stream, appended to `specs`. The
-    /// stream derivation and draw order match the original `chaos`
-    /// generator exactly — `chaos_disagg` only varies `crash_rate`.
-    fn group_stream(
-        seed: u64,
-        group: usize,
-        crash_rate: f64,
-        horizon: Time,
-        rates: &ChaosRates,
-        specs: &mut Vec<FaultSpec>,
-    ) {
-        let horizon_s = horizon.as_secs();
-        let mut rng = Rng64::seed(seed ^ (group as u64 + 1).wrapping_mul(STREAM_GAMMA));
-        if crash_rate > 0.0 {
-            let mut t = rng.exponential(crash_rate);
-            while t < horizon_s {
-                let outage = rng.exponential(1.0 / rates.mean_outage_s).max(1e-6);
-                specs.push(FaultSpec::GroupCrash {
-                    group,
-                    at: Time::from_secs_f64(t),
-                    recover_after: Some(Time::from_secs_f64(outage)),
-                });
-                t += outage + rng.exponential(crash_rate);
+/// What the fault machinery did during one fleet run — the raw material
+/// for the report's degraded-mode section, exposed for property tests.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FaultLog {
+    /// Crash events applied (a crash aligned into an existing outage is
+    /// skipped, not double-counted).
+    pub crashes: u64,
+    /// Recovery events applied.
+    pub recoveries: u64,
+    /// Per-group outage windows `(group, down_from, up_at)`; `None` means
+    /// the group never rejoined.
+    pub down_windows: Vec<(usize, Time, Option<Time>)>,
+    /// One entry per orphaning: the request and the crash instant that
+    /// evicted it (a request appears once per crash it survives).
+    pub orphaned: Vec<(RequestId, Time)>,
+    /// Redispatches of crash orphans (deferred first dispatches of
+    /// arrivals that found no live group are not retries).
+    pub retries: u64,
+    /// Redispatch counts per priority class.
+    pub retries_by_class: Vec<(PriorityClass, u64)>,
+    /// Requests dropped — out of attempts, or undispatchable because the
+    /// fleet never recovered.
+    pub dropped: Vec<(RequestId, PriorityClass)>,
+    /// Recoveries that re-seeded at least one warm-retained context
+    /// ([`RecoveryMode::Warm`]).
+    pub warm_rejoins: u64,
+    /// Recoveries that rejoined the serving set empty (every recovery
+    /// under [`RecoveryMode::Cold`]; a warm recovery whose crash orphaned
+    /// nothing). Standby recoveries join the spare reserve and count under
+    /// neither.
+    pub cold_rejoins: u64,
+    /// Spare groups promoted into the serving set at crash instants
+    /// ([`RecoveryMode::Standby`]).
+    pub promotions: u64,
+    /// Contexts a crashed decode group had claimed that were rescued from
+    /// the shared pool's parked copies instead of re-prefilled, with the
+    /// crash instant (disaggregated fleets only).
+    pub pool_rescued: Vec<(RequestId, Time)>,
+    /// Handed-off contexts whose pool copy was gone at crash time (evicted
+    /// or volatile pool) — they fell back to re-prefill.
+    pub pool_lost: u64,
+    /// Arrivals shed by the admission policy, never dispatched.
+    pub shed: Vec<(RequestId, PriorityClass)>,
+    /// Last offered arrival — the availability horizon extends at least
+    /// this far even if the fleet died long before serving it.
+    pub horizon: Time,
+}
+
+/// A fault event compiled onto the epoch grid. At one instant, recoveries
+/// apply before degrade-window edges before crashes (rank order), and
+/// within a kind events apply in compiled order — a fixed, thread-free
+/// total order.
+#[derive(Debug, Clone, Copy)]
+struct CompiledFault {
+    at: Time,
+    rank: u8,
+    group: usize,
+    kind: CompiledKind,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum CompiledKind {
+    Recover,
+    /// A host-link (`pool: false`) or pool-link window edge.
+    Degrade {
+        pool: bool,
+        start: bool,
+        factor: f64,
+    },
+    Crash {
+        recovers: bool,
+    },
+}
+
+/// Aligns `t` up to the next epoch-grid instant.
+pub(crate) fn epoch_ceil(t: Time, epoch_ps: u64) -> Time {
+    Time::from_ps(
+        t.as_ps()
+            .div_ceil(epoch_ps)
+            .checked_mul(epoch_ps)
+            .expect("epoch grid instant overflows Time"),
+    )
+}
+
+/// Compiles the schedule onto the epoch grid: every instant is aligned up,
+/// every window spans at least one epoch, and the result is sorted by
+/// `(instant, rank, group)` with compiled order breaking residual ties
+/// (stable sort).
+fn compile_faults(schedule: &FaultSchedule, epoch_ps: u64) -> Vec<CompiledFault> {
+    let one_epoch_after = |t: Time| {
+        Time::from_ps(t.as_ps().checked_add(epoch_ps).expect("fault window end overflows"))
+    };
+    let mut events = Vec::new();
+    for spec in schedule.specs() {
+        match *spec {
+            FaultSpec::GroupCrash { group, at, recover_after } => {
+                let crash_at = epoch_ceil(at, epoch_ps);
+                let kind = CompiledKind::Crash { recovers: recover_after.is_some() };
+                events.push(CompiledFault { at: crash_at, rank: 3, group, kind });
+                if let Some(d) = recover_after {
+                    let recover_at = epoch_ceil(at + d, epoch_ps).max(one_epoch_after(crash_at));
+                    let kind = CompiledKind::Recover;
+                    events.push(CompiledFault { at: recover_at, rank: 0, group, kind });
+                }
+            }
+            FaultSpec::HostLinkDegrade { at, duration, bandwidth_factor: factor }
+            | FaultSpec::PoolLinkDegrade { at, duration, bandwidth_factor: factor } => {
+                let pool = matches!(spec, FaultSpec::PoolLinkDegrade { .. });
+                let start = epoch_ceil(at, epoch_ps);
+                let end = epoch_ceil(at + duration, epoch_ps).max(one_epoch_after(start));
+                for (at, rank, start) in [(start, 2, true), (end, 1, false)] {
+                    let kind = CompiledKind::Degrade { pool, start, factor };
+                    events.push(CompiledFault { at, rank, group: 0, kind });
+                }
+            }
+            // Stragglers are construction-time, not events.
+            FaultSpec::Straggler { .. } => {}
+        }
+    }
+    events.sort_by_key(|e| (e.at, e.rank, e.group));
+    events
+}
+
+/// The fleet's fault and recovery state machine: the compiled events,
+/// which groups are alive and serving, the standby reserve, warm-retained
+/// contexts, the active degrade windows and the [`FaultLog`]. What happens
+/// to a crash orphan that was not retained is the driver's call.
+pub(crate) struct FaultState {
+    events: Vec<CompiledFault>,
+    next: usize,
+    recovery: RecoveryMode,
+    roles: Vec<GroupRole>,
+    alive: Vec<bool>,
+    down_since: Vec<Option<Time>>,
+    in_service: Vec<bool>,
+    spares: BTreeSet<usize>,
+    /// Warm retention: per crashed group, the orphans that kept their KV
+    /// and re-seed (skipping re-prefill) when the group rejoins.
+    retained: BTreeMap<usize, Vec<RequestSpec>>,
+    /// Active degrade windows as `(pool link?, factor)`.
+    degrades: Vec<(bool, f64)>,
+    pub(crate) log: FaultLog,
+}
+
+impl FaultState {
+    /// Compiles `schedule` onto the epoch grid and seats the standby
+    /// reserve: the last `spares` groups of each role start outside the
+    /// serving set. Under Cold/Warm every group serves from the start.
+    pub(crate) fn new(
+        schedule: &FaultSchedule,
+        epoch_ps: u64,
+        recovery: RecoveryMode,
+        roles: &[GroupRole],
+    ) -> Self {
+        let mut in_service = vec![true; roles.len()];
+        let mut spares = BTreeSet::new();
+        if let RecoveryMode::Standby { spares: n } = recovery {
+            for role in [GroupRole::Colocated, GroupRole::Prefill, GroupRole::Decode] {
+                for g in (0..roles.len()).rev().filter(|&g| roles[g] == role).take(n) {
+                    in_service[g] = false;
+                    spares.insert(g);
+                }
             }
         }
-        if rates.straggler_probability > 0.0
-            && rng.next_f64() < rates.straggler_probability
-            && rates.straggler_slowdown > 1.0
-        {
-            specs.push(FaultSpec::Straggler { group, slowdown: rates.straggler_slowdown });
+        FaultState {
+            events: compile_faults(schedule, epoch_ps),
+            next: 0,
+            recovery,
+            roles: roles.to_vec(),
+            alive: vec![true; roles.len()],
+            down_since: vec![None; roles.len()],
+            in_service,
+            spares,
+            retained: BTreeMap::new(),
+            degrades: Vec::new(),
+            log: FaultLog::default(),
         }
     }
 
-    /// The fleet-wide host-link degradation stream, appended to `specs`.
-    fn host_degrade_stream(
-        seed: u64,
-        horizon: Time,
-        rates: &ChaosRates,
-        specs: &mut Vec<FaultSpec>,
+    /// Instant of the next event not yet applied.
+    pub(crate) fn next_at(&self) -> Option<Time> {
+        self.events.get(self.next).map(|e| e.at)
+    }
+
+    /// Whether group `g` is alive and in the serving set.
+    pub(crate) fn serving(&self, g: usize) -> bool {
+        self.alive[g] && self.in_service[g]
+    }
+
+    /// The load of every serving group in `groups`, in order.
+    pub(crate) fn serving_loads<'s>(
+        &'s self,
+        groups: &'s [usize],
+        sims: &'s [GroupSim],
+    ) -> impl Iterator<Item = GroupLoad> + 's {
+        groups.iter().filter(|&&g| self.serving(g)).map(|&g| GroupLoad {
+            group: g,
+            outstanding: sims[g].outstanding(),
+            kv_tokens: sims[g].kv_reserved(),
+        })
+    }
+
+    /// The most severe active factor on the pool (`true`) or host links.
+    fn link_factor(&self, pool: bool) -> f64 {
+        self.degrades.iter().filter(|w| w.0 == pool).map(|w| w.1).fold(1.0, f64::min)
+    }
+
+    /// `base` under the active pool-link windows (exactly `base` if none).
+    pub(crate) fn pool_cost(&self, base: KvSwapCost) -> KvSwapCost {
+        match self.link_factor(true) {
+            1.0 => base,
+            factor => base.with_bandwidth_factor(factor),
+        }
+    }
+
+    /// Applies every event due at `t`, in compiled order. A crash hands
+    /// each orphan it does not warm-retain to `orphan` (with the log and
+    /// the crashed group), in the `(arrival, id)` order
+    /// [`GroupSim::crash`] returns them.
+    pub(crate) fn apply_due(
+        &mut self,
+        t: Time,
+        sims: &mut [GroupSim],
+        mut orphan: impl FnMut(&mut FaultLog, usize, RequestSpec),
     ) {
-        let horizon_s = horizon.as_secs();
-        if rates.degrade_rate > 0.0 {
-            let mut rng = Rng64::seed(seed.wrapping_add(STREAM_GAMMA));
-            let mut t = rng.exponential(rates.degrade_rate);
-            while t < horizon_s {
-                let duration = rng.exponential(1.0 / rates.mean_degrade_s).max(1e-6);
-                specs.push(FaultSpec::HostLinkDegrade {
-                    at: Time::from_secs_f64(t),
-                    duration: Time::from_secs_f64(duration),
-                    bandwidth_factor: rates.degrade_factor,
-                });
-                t += duration + rng.exponential(rates.degrade_rate);
+        while self.next < self.events.len() && self.events[self.next].at == t {
+            let e = self.events[self.next];
+            self.next += 1;
+            let g = e.group;
+            match e.kind {
+                CompiledKind::Crash { recovers } => {
+                    if !self.alive[g] {
+                        // Grid alignment folded this crash into an outage
+                        // already in progress.
+                        continue;
+                    }
+                    self.alive[g] = false;
+                    self.down_since[g] = Some(t);
+                    self.log.crashes += 1;
+                    let was_serving = self.in_service[g];
+                    self.spares.remove(&g);
+                    let orphans = sims[g].crash(t);
+                    // Warm recovery deterministically retains the first
+                    // `retained_fraction` of the orphans: their KV survives
+                    // and re-seeds at recovery instead of re-prefilling. A
+                    // crash that never recovers retains nothing.
+                    let keep = match self.recovery {
+                        RecoveryMode::Warm { retained_fraction } if recovers => {
+                            (retained_fraction * orphans.len() as f64).floor() as usize
+                        }
+                        _ => 0,
+                    };
+                    for (i, spec) in orphans.into_iter().enumerate() {
+                        self.log.orphaned.push((spec.id, t));
+                        if i < keep {
+                            self.retained.entry(g).or_default().push(spec);
+                        } else {
+                            orphan(&mut self.log, g, spec);
+                        }
+                    }
+                    if was_serving {
+                        self.promote(self.roles[g]);
+                    }
+                }
+                CompiledKind::Recover => {
+                    if self.alive[g] {
+                        continue;
+                    }
+                    self.alive[g] = true;
+                    self.log.recoveries += 1;
+                    let start = self.down_since[g].take().expect("recovering group was down");
+                    self.log.down_windows.push((g, start, Some(t)));
+                    match self.recovery {
+                        RecoveryMode::Standby { .. } => {
+                            // Rejoin the spare reserve, not the serving set
+                            // (neither warm nor cold counted) — unless the
+                            // group's tier has no serving group left, in
+                            // which case a spare is promoted immediately.
+                            self.in_service[g] = false;
+                            self.spares.insert(g);
+                            let role = self.roles[g];
+                            if !(0..self.roles.len())
+                                .any(|h| self.roles[h] == role && self.serving(h))
+                            {
+                                self.promote(role);
+                            }
+                        }
+                        RecoveryMode::Warm { .. } => match self.retained.remove(&g) {
+                            Some(kept) if !kept.is_empty() => {
+                                self.log.warm_rejoins += 1;
+                                for spec in kept {
+                                    sims[g].push_warm(spec, t);
+                                }
+                            }
+                            _ => self.log.cold_rejoins += 1,
+                        },
+                        RecoveryMode::Cold => self.log.cold_rejoins += 1,
+                    }
+                }
+                CompiledKind::Degrade { pool, start, factor } => {
+                    let before = self.link_factor(false);
+                    if start {
+                        self.degrades.push((pool, factor));
+                    } else {
+                        let pos = self
+                            .degrades
+                            .iter()
+                            .position(|&w| w == (pool, factor))
+                            .expect("degrade window was active");
+                        self.degrades.swap_remove(pos);
+                    }
+                    let eff = self.link_factor(false);
+                    if eff != before {
+                        for sim in sims.iter_mut() {
+                            sim.set_host_link_factor(eff);
+                        }
+                    }
+                }
             }
         }
+    }
+
+    /// Standby backfill: promotes the lowest-indexed spare of `role` into
+    /// the serving set, if the reserve holds one.
+    fn promote(&mut self, role: GroupRole) {
+        if let Some(&spare) = self.spares.iter().find(|&&s| self.roles[s] == role) {
+            self.spares.remove(&spare);
+            self.in_service[spare] = true;
+            self.log.promotions += 1;
+        }
+    }
+
+    /// Closes the outage windows still open at the end of the run and
+    /// returns the log.
+    pub(crate) fn finish(mut self) -> FaultLog {
+        debug_assert!(self.retained.is_empty(), "every warm retention rejoined");
+        for (g, since) in self.down_since.iter().enumerate() {
+            if let Some(start) = *since {
+                self.log.down_windows.push((g, start, None));
+            }
+        }
+        self.log
     }
 }
 

@@ -1,6 +1,12 @@
-//! The sharded fleet driver: epoch-based routing over N replica groups,
-//! fanned out across `std::thread::scope` workers inside one simulation —
-//! with deterministic fault injection, failover and retry on top.
+//! The fleet driver: epoch-based routing over N replica groups, fanned out
+//! across `std::thread::scope` workers inside one simulation — with
+//! deterministic fault injection, failover and retry on top.
+//!
+//! One epoch-stop loop serves every topology. Groups form an *entry tier*
+//! that receives arrivals and an optional *decode tier*: a colocated fleet
+//! is the degenerate topology whose single tier prefills and decodes, and
+//! a [disaggregated](crate::simulate_fleet_disagg) fleet splits the two
+//! tiers and adds the shared-pool handoff phases between them.
 //!
 //! # Determinism contract
 //!
@@ -22,7 +28,7 @@
 //!
 //! # Failure semantics
 //!
-//! A [`GroupCrash`](FaultSpec::GroupCrash) tears the group down: its
+//! A [`GroupCrash`](crate::FaultSpec::GroupCrash) tears the group down: its
 //! in-flight and queued requests are orphaned (device KV and host-pool
 //! pages are lost, so a redispatch re-prefills from scratch while TTFT
 //! keeps running from the original arrival), and the [`RetryPolicy`]
@@ -38,14 +44,17 @@
 //! saturation crosses the class's threshold, extending conservation to
 //! `completed + rejected + dropped + shed = offered`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use cent_serving::ServingSystem;
-use cent_serving::{GroupOutcome, GroupSim, PriorityClass, RequestId, RequestSpec, ServeOptions};
+use cent_serving::{GroupOutcome, GroupSim, PriorityClass, RequestSpec, ServeOptions};
 use cent_types::Time;
 
 use crate::admission::{fleet_saturation, AdmissionPolicy};
-use crate::fault::{FaultSchedule, FaultSpec, RecoveryMode, RetryPolicy};
+use crate::disagg::{DecodeTier, DisaggConfig, DisaggLog, DisaggOutcome, GroupRole};
+use crate::fault::{
+    epoch_ceil, FaultLog, FaultSchedule, FaultSpec, FaultState, RecoveryMode, RetryPolicy,
+};
 use crate::report::FleetReport;
 use crate::router::{GroupLoad, RoutingPolicy};
 
@@ -62,7 +71,7 @@ pub struct FleetOptions {
     /// Epoch width: the granularity at which the router's load index is
     /// refreshed from true group state (and onto which fault events are
     /// aligned). Smaller epochs mean fresher load signals and more
-    /// synchronization barriers.
+    /// synchronization barriers. Must be positive.
     pub epoch: Time,
     /// Serving options applied to every group.
     pub serve: ServeOptions,
@@ -154,54 +163,6 @@ impl FleetOptions {
     }
 }
 
-/// What the fault machinery did during one fleet run — the raw material
-/// for the report's degraded-mode section, exposed for property tests.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultLog {
-    /// Crash events applied (a crash aligned into an existing outage is
-    /// skipped, not double-counted).
-    pub crashes: u64,
-    /// Recovery events applied.
-    pub recoveries: u64,
-    /// Per-group outage windows `(group, down_from, up_at)`; `None` means
-    /// the group never rejoined.
-    pub down_windows: Vec<(usize, Time, Option<Time>)>,
-    /// One entry per orphaning: the request and the crash instant that
-    /// evicted it (a request appears once per crash it survives).
-    pub orphaned: Vec<(RequestId, Time)>,
-    /// Redispatches of crash orphans (deferred first dispatches of
-    /// arrivals that found no live group are not retries).
-    pub retries: u64,
-    /// Redispatch counts per priority class.
-    pub retries_by_class: Vec<(PriorityClass, u64)>,
-    /// Requests dropped — out of attempts, or undispatchable because the
-    /// fleet never recovered.
-    pub dropped: Vec<(RequestId, PriorityClass)>,
-    /// Recoveries that re-seeded at least one warm-retained context
-    /// ([`RecoveryMode::Warm`]).
-    pub warm_rejoins: u64,
-    /// Recoveries that rejoined the serving set empty (every recovery
-    /// under [`RecoveryMode::Cold`]; a warm recovery whose crash orphaned
-    /// nothing). Standby recoveries join the spare reserve and count under
-    /// neither.
-    pub cold_rejoins: u64,
-    /// Spare groups promoted into the serving set at crash instants
-    /// ([`RecoveryMode::Standby`]).
-    pub promotions: u64,
-    /// Contexts a crashed decode group had claimed that were rescued from
-    /// the shared pool's parked copies instead of re-prefilled, with the
-    /// crash instant (disaggregated fleets only).
-    pub pool_rescued: Vec<(RequestId, Time)>,
-    /// Handed-off contexts whose pool copy was gone at crash time (evicted
-    /// or volatile pool) — they fell back to re-prefill.
-    pub pool_lost: u64,
-    /// Arrivals shed by the admission policy, never dispatched.
-    pub shed: Vec<(RequestId, PriorityClass)>,
-    /// Last offered arrival — the availability horizon extends at least
-    /// this far even if the fleet died long before serving it.
-    pub horizon: Time,
-}
-
 /// Everything one fleet run produced: the merged report, the per-group
 /// outcomes (in group order), the routing decision per trace entry and the
 /// fault log.
@@ -220,114 +181,6 @@ pub struct FleetOutcome {
     pub faults: FaultLog,
 }
 
-/// A fault event compiled onto the epoch grid. At one instant, recoveries
-/// apply before degrade-window edges before crashes (rank order), and
-/// within a kind events apply in compiled order — a fixed, thread-free
-/// total order. Shared with the disaggregated driver.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CompiledFault {
-    pub(crate) at: Time,
-    pub(crate) rank: u8,
-    pub(crate) group: usize,
-    pub(crate) kind: CompiledKind,
-}
-
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CompiledKind {
-    Recover,
-    DegradeEnd { factor: f64 },
-    DegradeStart { factor: f64 },
-    PoolDegradeEnd { factor: f64 },
-    PoolDegradeStart { factor: f64 },
-    Crash { recovers: bool },
-}
-
-/// Aligns `t` up to the next epoch-grid instant.
-pub(crate) fn epoch_ceil(t: Time, epoch_ps: u64) -> Time {
-    Time::from_ps(
-        t.as_ps()
-            .div_ceil(epoch_ps)
-            .checked_mul(epoch_ps)
-            .expect("epoch grid instant overflows Time"),
-    )
-}
-
-/// Compiles the schedule onto the epoch grid: every instant is aligned up,
-/// every window spans at least one epoch, and the result is sorted by
-/// `(instant, rank, group)` with compiled order breaking residual ties
-/// (stable sort). Shared with the disaggregated driver; the colocated
-/// driver treats pool-degrade edges as no-ops.
-pub(crate) fn compile_faults(schedule: &FaultSchedule, epoch_ps: u64) -> Vec<CompiledFault> {
-    let mut events = Vec::new();
-    for spec in schedule.specs() {
-        match *spec {
-            FaultSpec::GroupCrash { group, at, recover_after } => {
-                let crash_at = epoch_ceil(at, epoch_ps);
-                events.push(CompiledFault {
-                    at: crash_at,
-                    rank: 3,
-                    group,
-                    kind: CompiledKind::Crash { recovers: recover_after.is_some() },
-                });
-                if let Some(d) = recover_after {
-                    let floor = Time::from_ps(
-                        crash_at.as_ps().checked_add(epoch_ps).expect("recovery floor overflows"),
-                    );
-                    let recover_at = epoch_ceil(at + d, epoch_ps).max(floor);
-                    events.push(CompiledFault {
-                        at: recover_at,
-                        rank: 0,
-                        group,
-                        kind: CompiledKind::Recover,
-                    });
-                }
-            }
-            FaultSpec::HostLinkDegrade { at, duration, bandwidth_factor } => {
-                let start = epoch_ceil(at, epoch_ps);
-                let floor = Time::from_ps(
-                    start.as_ps().checked_add(epoch_ps).expect("degrade window end overflows"),
-                );
-                let end = epoch_ceil(at + duration, epoch_ps).max(floor);
-                events.push(CompiledFault {
-                    at: start,
-                    rank: 2,
-                    group: 0,
-                    kind: CompiledKind::DegradeStart { factor: bandwidth_factor },
-                });
-                events.push(CompiledFault {
-                    at: end,
-                    rank: 1,
-                    group: 0,
-                    kind: CompiledKind::DegradeEnd { factor: bandwidth_factor },
-                });
-            }
-            FaultSpec::PoolLinkDegrade { at, duration, bandwidth_factor } => {
-                let start = epoch_ceil(at, epoch_ps);
-                let floor = Time::from_ps(
-                    start.as_ps().checked_add(epoch_ps).expect("degrade window end overflows"),
-                );
-                let end = epoch_ceil(at + duration, epoch_ps).max(floor);
-                events.push(CompiledFault {
-                    at: start,
-                    rank: 2,
-                    group: 0,
-                    kind: CompiledKind::PoolDegradeStart { factor: bandwidth_factor },
-                });
-                events.push(CompiledFault {
-                    at: end,
-                    rank: 1,
-                    group: 0,
-                    kind: CompiledKind::PoolDegradeEnd { factor: bandwidth_factor },
-                });
-            }
-            // Stragglers are construction-time, not events.
-            FaultSpec::Straggler { .. } => {}
-        }
-    }
-    events.sort_by_key(|e| (e.at, e.rank, e.group));
-    events
-}
-
 /// Simulates `trace` over a fleet of identical replica groups and returns
 /// the merged fleet report. See the module docs for the determinism
 /// contract; `trace` must be sorted by arrival time (as
@@ -344,7 +197,13 @@ pub fn simulate_fleet(
 
 /// [`simulate_fleet`], additionally returning per-group outcomes, the
 /// per-request routing decisions and the fault log (property tests,
-/// router and failover studies).
+/// router and failover studies). This is the fleet driver on the
+/// one-tier colocated topology, [`DisaggConfig::colocated`].
+///
+/// # Panics
+///
+/// Panics on a zero epoch, a fault naming a group outside the fleet, zero
+/// retry attempts, an out-of-range recovery mode or an all-spare fleet.
 pub fn simulate_fleet_instrumented(
     system: &ServingSystem,
     trace: &[RequestSpec],
@@ -352,76 +211,99 @@ pub fn simulate_fleet_instrumented(
     router: &mut dyn RoutingPolicy,
     options: &FleetOptions,
 ) -> FleetOutcome {
-    let epoch_ps = options.epoch.as_ps().max(1);
-    if let Some(g) = options.faults.max_group() {
+    let colocated = DisaggConfig::colocated(options.groups);
+    let out = run(system, trace, offered_qps, router, options, &colocated);
+    FleetOutcome { report: out.report, groups: out.groups, routed: out.routed, faults: out.faults }
+}
+
+/// Checks the options once at the driver's entry and splits the groups
+/// into the entry tier (colocated or prefill groups, which take arrivals)
+/// and the decode tier (empty for a colocated fleet).
+fn tiers(fleet: &FleetOptions, disagg: &DisaggConfig) -> (Vec<usize>, Vec<usize>) {
+    assert!(fleet.epoch > Time::ZERO, "epoch must be positive");
+    assert_eq!(disagg.roles.len(), fleet.groups, "roles must cover every group of the fleet");
+    if let Some(g) = fleet.faults.max_group() {
         assert!(
-            g < options.groups,
+            g < fleet.groups,
             "fault schedule names group {g} of a {}-group fleet",
-            options.groups
+            fleet.groups
         );
     }
-    assert!(options.retry.max_attempts > 0, "a request needs at least one attempt");
-    options.recovery.validate();
+    assert!(fleet.retry.max_attempts > 0, "a request needs at least one attempt");
+    fleet.recovery.validate();
+    let colocated = disagg.is_colocated();
+    assert!(
+        colocated || !disagg.roles.contains(&GroupRole::Colocated),
+        "a split fleet cannot mix colocated groups with specialized ones"
+    );
+    let of_role = |role: GroupRole| {
+        (0..fleet.groups).filter(|&g| disagg.roles[g] == role).collect::<Vec<_>>()
+    };
+    let entry = of_role(if colocated { GroupRole::Colocated } else { GroupRole::Prefill });
+    let decode = of_role(GroupRole::Decode);
+    assert!(colocated || !entry.is_empty(), "a split fleet needs a prefill tier");
+    assert!(colocated || !decode.is_empty(), "a split fleet needs a decode tier");
+    if let RecoveryMode::Standby { spares } = fleet.recovery {
+        assert!(
+            spares < entry.len() && (decode.is_empty() || spares < decode.len()),
+            "a standby reserve of {spares} spares needs more than {spares} groups in each tier"
+        );
+    }
+    (entry, decode)
+}
+
+/// The fleet driver behind [`simulate_fleet_instrumented`] and
+/// [`simulate_fleet_disagg`](crate::simulate_fleet_disagg): one epoch-stop
+/// loop over `disagg.roles`. The handoff phases (harvest, claim, rescue,
+/// publish) run only when the decode tier is non-empty.
+pub(crate) fn run(
+    system: &ServingSystem,
+    trace: &[RequestSpec],
+    offered_qps: f64,
+    router: &mut dyn RoutingPolicy,
+    fleet: &FleetOptions,
+    disagg: &DisaggConfig,
+) -> DisaggOutcome {
+    let (entry, decode) = tiers(fleet, disagg);
+    let split = !decode.is_empty();
+    let epoch_ps = fleet.epoch.as_ps();
 
     // Stragglers are a property of the group, not an event: build the
     // affected groups from a uniformly slowed system (worst slowdown wins
     // if a group is named twice).
-    let mut slowdowns = vec![1.0f64; options.groups];
-    for spec in options.faults.specs() {
+    let mut slowdowns = vec![1.0f64; fleet.groups];
+    for spec in fleet.faults.specs() {
         if let FaultSpec::Straggler { group, slowdown } = *spec {
             slowdowns[group] = slowdowns[group].max(slowdown);
         }
     }
-    let mut sims: Vec<GroupSim> = slowdowns
-        .iter()
-        .map(|&s| {
-            if s > 1.0 {
-                GroupSim::new(&system.slowed(s), options.serve.clone())
-            } else {
-                GroupSim::new(system, options.serve.clone())
+    let mut sims: Vec<GroupSim> = (0..fleet.groups)
+        .map(|g| {
+            let mut serve = fleet.serve.clone();
+            if let (GroupRole::Prefill, Some(chunk)) = (disagg.roles[g], disagg.prefill_chunk) {
+                serve = serve.with_prefill_chunk(chunk);
+            }
+            match slowdowns[g] {
+                s if s > 1.0 => GroupSim::new(&system.slowed(s), serve),
+                _ => GroupSim::new(system, serve),
             }
         })
         .collect();
 
-    let events = compile_faults(&options.faults, epoch_ps);
-    let faulty = !options.faults.is_empty();
-    let shedding = options.admission.is_active();
-    // Tracking (attempt counts, horizon, the faulted report path) engages
-    // for a fault schedule OR an active admission policy — either breaks
-    // the everything-completes invariant of the healthy path.
+    let faulty = !fleet.faults.is_empty();
+    let shedding = fleet.admission.is_active();
+    // Tracking (attempt counts, horizon, the degraded report section)
+    // engages for a fault schedule OR an active admission policy — either
+    // breaks the everything-completes invariant of the healthy path.
     let track = faulty || shedding;
-    let mut next_event = 0usize;
-    let mut alive = vec![true; options.groups];
-    let mut down_since: Vec<Option<Time>> = vec![None; options.groups];
-    let mut active_degrades: Vec<f64> = Vec::new();
-    let mut effective_factor = 1.0f64;
-    let mut log = FaultLog::default();
+    let mut faults = FaultState::new(&fleet.faults, epoch_ps, fleet.recovery, &disagg.roles);
+    let mut tier = split.then(|| DecodeTier::new(disagg, entry.clone(), decode, &sims, faulty));
     let mut retries_by_class: BTreeMap<PriorityClass, u64> = BTreeMap::new();
 
-    // Standby reserve: the last `spares` groups start outside the serving
-    // set and are promoted (lowest index first) when a serving group
-    // crashes; recovered groups refill the reserve. Under Cold/Warm every
-    // group serves from the start.
-    let mut in_service = vec![true; options.groups];
-    let mut spare_pool: BTreeSet<usize> = BTreeSet::new();
-    if let RecoveryMode::Standby { spares } = options.recovery {
-        assert!(
-            spares < options.groups,
-            "standby reserve of {spares} spares needs a fleet larger than {spares}"
-        );
-        for (g, serving) in in_service.iter_mut().enumerate().skip(options.groups - spares) {
-            *serving = false;
-            spare_pool.insert(g);
-        }
-    }
-    // Warm retention: per crashed group, the orphans that kept their KV
-    // and re-seed (skipping re-prefill) when the group rejoins.
-    let mut retained: BTreeMap<usize, Vec<RequestSpec>> = BTreeMap::new();
-
-    // Dispatch bookkeeping, touched only on the faulty path: attempts per
-    // request id, the pending set keyed by `(ready, arrival, id)` (the
-    // deterministic redispatch order), and the id → trace-index map that
-    // backfills `routed` for out-of-order dispatches.
+    // Faulty-path bookkeeping: entry-tier dispatches per id, the retry
+    // queue of ORIGINAL specs in `(ready, arrival, id)` order (orphans in
+    // backoff, arrivals that found the entry tier down), and the id →
+    // trace-index map that backfills `routed` for late dispatches.
     let mut attempts: BTreeMap<u64, u32> = BTreeMap::new();
     let mut pending: BTreeMap<(Time, Time, u64), RequestSpec> = BTreeMap::new();
     let id_to_index: BTreeMap<u64, usize> = if faulty {
@@ -429,10 +311,13 @@ pub fn simulate_fleet_instrumented(
     } else {
         BTreeMap::new()
     };
+    let slots_per_group = system.total_slots() as u64;
+    let kv_budget_per_group = system.kv_budget_tokens() * system.replicas() as u64;
 
-    let mut loads: Vec<GroupLoad> = Vec::with_capacity(options.groups);
+    let mut loads: Vec<GroupLoad> = Vec::with_capacity(entry.len());
     let mut routed = vec![usize::MAX; trace.len()];
     let mut cursor = 0usize;
+    let mut now = Time::ZERO;
     loop {
         debug_assert!(
             cursor == 0
@@ -440,175 +325,76 @@ pub fn simulate_fleet_instrumented(
                 || trace[cursor - 1].arrival <= trace[cursor].arrival,
             "trace must be sorted by arrival"
         );
-        // Candidate stops, all on the epoch grid. Retry-ready instants
-        // only count while some group is alive — while the whole fleet is
-        // down, only a recovery (a fault stop) can unblock them.
+        // Candidate stops, all on the epoch grid: the epoch of the next
+        // arrival, the next fault event, the next retry-ready instant
+        // (only while an entry group serves — while the whole tier is
+        // down, only a recovery can unblock them) and the handoff
+        // pipeline's own stops.
         let arrival_stop =
             trace.get(cursor).map(|s| Time::from_ps((s.arrival.as_ps() / epoch_ps) * epoch_ps));
-        let fault_stop = events.get(next_event).map(|e| e.at);
-        let retry_stop = if alive.iter().zip(in_service.iter()).any(|(&a, &s)| a && s) {
-            pending.keys().next().map(|&(ready, _, _)| epoch_ceil(ready, epoch_ps))
-        } else {
-            None
-        };
-        let Some(t) = [arrival_stop, fault_stop, retry_stop].into_iter().flatten().min() else {
+        let retry_stop = pending
+            .keys()
+            .next()
+            .filter(|_| entry.iter().any(|&g| faults.serving(g)))
+            .map(|&(ready, _, _)| epoch_ceil(ready, epoch_ps));
+        let tier_stop = tier.as_ref().and_then(|d| d.next_stop(now, &sims, &faults, epoch_ps));
+        let Some(stop) =
+            [arrival_stop, faults.next_at(), retry_stop, tier_stop].into_iter().flatten().min()
+        else {
             break;
         };
-        advance_groups(&mut sims, t, options.threads);
+        // A publish can land with `visible` already in the past, which
+        // would put the claim stop behind the fleet. The driver never
+        // rewinds: such claims are taken at the current stop instead.
+        let t = stop.max(now);
+        now = t;
+        for_each_sharded(&mut sims, fleet.threads, |sim| sim.advance_to(t));
 
-        // Fault phase: apply every event due at this stop, in compiled
-        // order, from this single thread.
-        while next_event < events.len() && events[next_event].at == t {
-            let e = events[next_event];
-            next_event += 1;
-            match e.kind {
-                CompiledKind::Crash { recovers } => {
-                    if !alive[e.group] {
-                        // Grid alignment folded this crash into an outage
-                        // already in progress.
-                        continue;
-                    }
-                    alive[e.group] = false;
-                    down_since[e.group] = Some(t);
-                    log.crashes += 1;
-                    let was_serving = in_service[e.group];
-                    spare_pool.remove(&e.group);
-                    let orphans = sims[e.group].crash(t);
-                    // Warm recovery deterministically retains the first
-                    // `retained_fraction` of the (arrival, id)-sorted
-                    // orphans on the crashed group: their KV survives and
-                    // re-seeds at recovery instead of re-prefilling. A
-                    // crash that never recovers retains nothing.
-                    let keep = match options.recovery {
-                        RecoveryMode::Warm { retained_fraction } if recovers => {
-                            (retained_fraction * orphans.len() as f64).floor() as usize
-                        }
-                        _ => 0,
-                    };
-                    for (i, spec) in orphans.into_iter().enumerate() {
-                        log.orphaned.push((spec.id, t));
-                        if i < keep {
-                            retained.entry(e.group).or_default().push(spec);
-                            continue;
-                        }
-                        let n = *attempts.get(&spec.id.0).expect("orphan was dispatched");
-                        if n >= options.retry.max_attempts {
-                            log.dropped.push((spec.id, spec.class));
-                        } else {
-                            let ready = t + options.retry.backoff.times(u64::from(n));
-                            pending.insert((ready, spec.arrival, spec.id.0), spec);
-                        }
-                    }
-                    // Standby: backfill the serving set from the reserve,
-                    // lowest spare index first.
-                    if was_serving {
-                        if let Some(&spare) = spare_pool.iter().next() {
-                            spare_pool.remove(&spare);
-                            in_service[spare] = true;
-                            log.promotions += 1;
-                        }
-                    }
+        // Fault phase, before any cross-group logic so everything at this
+        // stop sees the new state. An orphan the decode tier cannot rescue
+        // from the pool reruns from its ORIGINAL spec through the entry
+        // tier, or drops once out of attempts.
+        faults.apply_due(t, &mut sims, |log, g, spec| {
+            let id = spec.id.0;
+            if let Some(d) = tier.as_mut() {
+                if d.orphan(log, disagg.roles[g] == GroupRole::Decode, spec, t) {
+                    return;
                 }
-                CompiledKind::Recover => {
-                    if alive[e.group] {
-                        continue;
-                    }
-                    alive[e.group] = true;
-                    log.recoveries += 1;
-                    let start = down_since[e.group].take().expect("recovering group was down");
-                    log.down_windows.push((e.group, start, Some(t)));
-                    match options.recovery {
-                        RecoveryMode::Standby { .. } => {
-                            // Rejoin the spare reserve, not the serving
-                            // set (neither warm nor cold counted) — unless
-                            // the serving set is empty, in which case the
-                            // lowest spare is promoted immediately.
-                            in_service[e.group] = false;
-                            spare_pool.insert(e.group);
-                            let serving =
-                                alive.iter().zip(in_service.iter()).any(|(&a, &s)| a && s);
-                            if !serving {
-                                let &spare =
-                                    spare_pool.iter().next().expect("just inserted a spare");
-                                spare_pool.remove(&spare);
-                                in_service[spare] = true;
-                                log.promotions += 1;
-                            }
-                        }
-                        RecoveryMode::Warm { .. } => match retained.remove(&e.group) {
-                            Some(kept) if !kept.is_empty() => {
-                                log.warm_rejoins += 1;
-                                for spec in kept {
-                                    sims[e.group].push_warm(spec, t);
-                                }
-                            }
-                            _ => log.cold_rejoins += 1,
-                        },
-                        RecoveryMode::Cold => log.cold_rejoins += 1,
-                    }
-                }
-                CompiledKind::DegradeStart { factor } => {
-                    active_degrades.push(factor);
-                    let eff = active_degrades.iter().copied().fold(1.0, f64::min);
-                    if eff != effective_factor {
-                        effective_factor = eff;
-                        for sim in sims.iter_mut() {
-                            sim.set_host_link_factor(eff);
-                        }
-                    }
-                }
-                CompiledKind::DegradeEnd { factor } => {
-                    let pos = active_degrades
-                        .iter()
-                        .position(|&f| f == factor)
-                        .expect("degrade window was active");
-                    active_degrades.swap_remove(pos);
-                    let eff = active_degrades.iter().copied().fold(1.0, f64::min);
-                    if eff != effective_factor {
-                        effective_factor = eff;
-                        for sim in sims.iter_mut() {
-                            sim.set_host_link_factor(eff);
-                        }
-                    }
-                }
-                // Pool-link windows only affect the shared-pool handoff
-                // path of the disaggregated driver; a colocated fleet has
-                // no pool to degrade.
-                CompiledKind::PoolDegradeStart { .. } | CompiledKind::PoolDegradeEnd { .. } => {}
             }
+            let orig = trace[*id_to_index.get(&id).expect("orphan is in the trace")];
+            let n = *attempts.get(&id).expect("orphan was dispatched");
+            if n >= fleet.retry.max_attempts {
+                log.dropped.push((spec.id, spec.class));
+            } else {
+                let ready = t + fleet.retry.backoff.times(u64::from(n));
+                pending.insert((ready, orig.arrival, id), orig);
+            }
+        });
+        if let Some(d) = tier.as_mut() {
+            d.step(t, &mut sims, &faults, router, epoch_ps);
         }
 
-        // Load snapshot over the healthy, in-service subset, in group
-        // order (standby spares idle outside the serving set).
+        // Entry-tier load snapshot over the healthy, in-service subset, in
+        // group order (standby spares idle outside the serving set),
+        // shared by the redispatch and arrival phases.
         loads.clear();
-        for (g, sim) in sims.iter().enumerate() {
-            if alive[g] && in_service[g] {
-                loads.push(GroupLoad {
-                    group: g,
-                    outstanding: sim.outstanding(),
-                    kv_tokens: sim.kv_reserved(),
-                });
-            }
-        }
+        loads.extend(faults.serving_loads(&entry, &sims));
 
-        // Redispatch phase: pending requests whose ready instant has
+        // Redispatch phase: queued requests whose ready instant has
         // aligned to this stop (or earlier), in `(ready, arrival, id)`
         // order, routed over the healthy subset.
         if !loads.is_empty() {
-            while let Some((&key, _)) = pending.iter().next() {
-                if epoch_ceil(key.0, epoch_ps) > t {
+            while let Some(head) = pending.first_entry() {
+                if epoch_ceil(head.key().0, epoch_ps) > t {
                     break;
                 }
-                let spec = pending.remove(&key).expect("peeked entry exists");
-                let pos = router.route(&spec, &loads);
-                assert!(pos < loads.len(), "router chose position {pos} of {}", loads.len());
-                let g = loads[pos].group;
-                sims[g].push_redispatch(spec, t);
-                loads[pos].outstanding += 1;
-                loads[pos].kv_tokens += spec.kv_tokens();
+                let spec = head.remove();
+                let placed = tier.as_mut().map_or(spec, |d| d.admit(spec));
+                let g = route_onto(router, &placed, &mut loads);
+                sims[g].push_redispatch(placed, t);
                 let n = attempts.entry(spec.id.0).or_insert(0);
                 if *n > 0 {
-                    log.retries += 1;
+                    faults.log.retries += 1;
                     *retries_by_class.entry(spec.class).or_insert(0) += 1;
                 }
                 *n += 1;
@@ -622,23 +408,24 @@ pub fn simulate_fleet_instrumented(
         // Arrival phase: route every arrival of the epoch starting at `t`
         // against the boundary snapshot, bumping the index optimistically
         // so intra-epoch bursts still spread. Saturation-shed arrivals
-        // never dispatch; with no live group the rest are deferred until
-        // the next recovery.
+        // never dispatch; with no live entry group the rest are deferred
+        // until the next recovery.
         let epoch_end =
             Time::from_ps(t.as_ps().checked_add(epoch_ps).expect("epoch end overflows Time"));
         while cursor < trace.len() && trace[cursor].arrival < epoch_end {
             let spec = trace[cursor];
             let idx = cursor;
             cursor += 1;
+            assert!(!split || spec.decode >= 1, "a request generates at least its first token");
             if shedding {
-                let sat = fleet_saturation(
-                    &loads,
-                    system.total_slots() as u64,
-                    system.kv_budget_tokens() * system.replicas() as u64,
-                    None,
-                );
-                if !options.admission.admits(spec.class, sat) {
-                    log.shed.push((spec.id, spec.class));
+                let sat = match &tier {
+                    Some(d) => {
+                        d.saturation(&loads, &sims, &faults, slots_per_group, kv_budget_per_group)
+                    }
+                    None => fleet_saturation(&loads, slots_per_group, kv_budget_per_group, None),
+                };
+                if !fleet.admission.admits(spec.class, sat) {
+                    faults.log.shed.push((spec.id, spec.class));
                     continue;
                 }
             }
@@ -646,96 +433,93 @@ pub fn simulate_fleet_instrumented(
                 pending.insert((spec.arrival, spec.arrival, spec.id.0), spec);
                 continue;
             }
-            let pos = router.route(&spec, &loads);
-            assert!(pos < loads.len(), "router chose position {pos} of {}", loads.len());
-            let g = loads[pos].group;
-            sims[g].push_arrival(spec);
-            loads[pos].outstanding += 1;
-            loads[pos].kv_tokens += spec.kv_tokens();
+            let placed = tier.as_mut().map_or(spec, |d| d.admit(spec));
+            let g = route_onto(router, &placed, &mut loads);
+            sims[g].push_arrival(placed);
             routed[idx] = g;
             if faulty {
                 *attempts.entry(spec.id.0).or_insert(0) += 1;
             }
         }
     }
-    // Anything still pending is undispatchable: the fleet died and never
-    // recovered.
-    for (_, spec) in pending {
-        log.dropped.push((spec.id, spec.class));
+
+    // Anything still queued is undispatchable: the entry tier died and
+    // never recovered.
+    let mut flog = faults.finish();
+    for spec in pending.into_values() {
+        flog.dropped.push((spec.id, spec.class));
     }
-    for (g, since) in down_since.iter().enumerate() {
-        if let Some(start) = *since {
-            log.down_windows.push((g, start, None));
-        }
-    }
-    log.retries_by_class = retries_by_class.into_iter().collect();
+    let log = tier.map_or_else(DisaggLog::default, |d| d.finish(faulty, &mut flog));
+    flog.retries_by_class = retries_by_class.into_iter().collect();
     if track {
-        log.horizon = trace.last().map(|s| s.arrival).unwrap_or(Time::ZERO);
+        flog.horizon = trace.last().map(|s| s.arrival).unwrap_or(Time::ZERO);
     }
 
-    let per_group_qps = offered_qps / options.groups as f64;
-    let outcomes = finish_groups(sims, per_group_qps, options.threads);
-    let report = if track {
-        FleetReport::from_outcomes_faulted(offered_qps, &outcomes, &log)
+    let outcomes = finish_groups(sims, offered_qps / fleet.groups as f64, fleet.threads);
+    let report = if split {
+        let faults = track.then_some(&flog);
+        let slo = fleet.serve.slo;
+        FleetReport::from_outcomes_disagg(offered_qps, &outcomes, &disagg.roles, &log, faults, slo)
+    } else if track {
+        FleetReport::from_outcomes_faulted(offered_qps, &outcomes, &flog)
     } else {
         FleetReport::from_outcomes(offered_qps, &outcomes)
     };
     debug_assert!(
-        !track
-            || report.completed + report.rejected + log.dropped.len() + log.shed.len()
+        !(split || track)
+            || report.completed + report.rejected + flog.dropped.len() + flog.shed.len()
                 == trace.len(),
         "conservation: {} completed + {} rejected + {} dropped + {} shed != {} offered",
         report.completed,
         report.rejected,
-        log.dropped.len(),
-        log.shed.len(),
+        flog.dropped.len(),
+        flog.shed.len(),
         trace.len()
     );
-    FleetOutcome { report, groups: outcomes, routed, faults: log }
+    DisaggOutcome { report, groups: outcomes, routed, log, faults: flog }
 }
 
-/// Advances every group to `limit`, sharding contiguous chunks across
-/// worker threads. Groups are independent, so any sharding computes the
+/// Routes `spec` over `loads`, charges it to the chosen entry and returns
+/// the chosen group.
+fn route_onto(
+    router: &mut dyn RoutingPolicy,
+    spec: &RequestSpec,
+    loads: &mut [GroupLoad],
+) -> usize {
+    let pos = router.route(spec, loads);
+    assert!(pos < loads.len(), "router chose position {pos} of {}", loads.len());
+    loads[pos].outstanding += 1;
+    loads[pos].kv_tokens += spec.kv_tokens();
+    loads[pos].group
+}
+
+/// Runs `f` on every item, sharding contiguous chunks across `threads`
+/// scoped workers. Groups are independent, so any sharding computes the
 /// same per-group state.
-pub(crate) fn advance_groups(sims: &mut [GroupSim], limit: Time, threads: usize) {
-    if threads <= 1 || sims.len() <= 1 {
-        for sim in sims.iter_mut() {
-            sim.advance_to(limit);
-        }
+fn for_each_sharded<T: Send>(items: &mut [T], threads: usize, f: impl Fn(&mut T) + Sync) {
+    if threads <= 1 || items.len() <= 1 {
+        items.iter_mut().for_each(f);
         return;
     }
-    let chunk = sims.len().div_ceil(threads);
+    let chunk = items.len().div_ceil(threads);
+    let f = &f;
     std::thread::scope(|scope| {
-        for part in sims.chunks_mut(chunk) {
-            scope.spawn(move || {
-                for sim in part {
-                    sim.advance_to(limit);
-                }
-            });
+        for part in items.chunks_mut(chunk) {
+            scope.spawn(move || part.iter_mut().for_each(f));
         }
     });
 }
 
 /// Drains every group to completion and collects outcomes in group order.
-pub(crate) fn finish_groups(sims: Vec<GroupSim>, qps: f64, threads: usize) -> Vec<GroupOutcome> {
+fn finish_groups(sims: Vec<GroupSim>, qps: f64, threads: usize) -> Vec<GroupOutcome> {
+    // Both collects below reuse their source allocation in place, so the
+    // outcomes never coexist with a second copy of the groups' buffer.
     let mut sims: Vec<Option<GroupSim>> = sims.into_iter().map(Some).collect();
     let mut out: Vec<Option<GroupOutcome>> = sims.iter().map(|_| None).collect();
-    if threads <= 1 || sims.len() <= 1 {
-        for (sim, slot) in sims.iter_mut().zip(out.iter_mut()) {
-            *slot = Some(sim.take().expect("group not yet finished").finish(qps));
-        }
-    } else {
-        let chunk = sims.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (sim_part, out_part) in sims.chunks_mut(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (sim, slot) in sim_part.iter_mut().zip(out_part.iter_mut()) {
-                        *slot = Some(sim.take().expect("group not yet finished").finish(qps));
-                    }
-                });
-            }
-        });
-    }
+    let mut pairs: Vec<_> = sims.iter_mut().zip(out.iter_mut()).collect();
+    for_each_sharded(&mut pairs, threads, |(sim, slot)| {
+        **slot = Some(sim.take().expect("group not yet finished").finish(qps));
+    });
     out.into_iter().map(|o| o.expect("every group finished")).collect()
 }
 
@@ -941,5 +725,12 @@ mod tests {
         );
         assert_eq!(healthy.report, scheduled.report);
         assert_eq!(healthy.routed, scheduled.routed);
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch must be positive")]
+    fn zero_epoch_is_rejected() {
+        let opts = FleetOptions { epoch: Time::ZERO, ..FleetOptions::new(2) };
+        simulate_fleet(&tiny_system(), &trace(10.0, 1, 0.5), 10.0, &mut JoinShortestQueue, &opts);
     }
 }

@@ -12,8 +12,8 @@
 //!   [`PowerOfTwoChoices`] (seeded SplitMix64, deterministic),
 //!   [`RoundRobin`] and [`SessionAffinity`] (pure hash of
 //!   [`RequestSpec::session`](cent_serving::RequestSpec));
-//! * [`simulate_fleet`] — the epoch-based driver: arrivals are routed
-//!   against load snapshots taken at epoch boundaries, each group's
+//! * [`simulate_fleet`] — the epoch-based fleet driver: arrivals are
+//!   routed against load snapshots taken at epoch boundaries, each group's
 //!   span-fast-forward engine ([`GroupSim`](cent_serving::GroupSim)) is
 //!   advanced through the epoch by one of `threads` scoped workers, and a
 //!   deterministic merge folds the per-group outcomes — so the result is
@@ -27,22 +27,24 @@
 //!   windows that rescale spill costs mid-run, and per-group stragglers;
 //!   degraded-mode metrics (availability, failover latency, goodput in
 //!   and out of outage windows) land in [`DegradedReport`];
-//! * [`simulate_fleet_disagg`] / [`GroupRole`] — disaggregated
-//!   prefill/decode serving: prompts route to prefill-specialized groups
+//! * [`simulate_fleet_disagg`] / [`GroupRole`] — the same driver over a
+//!   prefill/decode split: prompts route to prefill-specialized groups
 //!   (chunked prefill), finished contexts publish into the bounded
 //!   switch-attached `SharedKvPool` of `cent-cxl` at a costed switch-hop
 //!   price, and decode-specialized groups claim them (stealing from the
-//!   pool when drained); handoff latency percentiles, pool occupancy and
-//!   steal counts land in [`DisaggReport`];
-//! * **survivable disaggregation** — the fault machinery composes with
-//!   the split fleet: the durable pool parks copies of claimed contexts
+//!   pool when drained); a colocated fleet is the one-tier topology that
+//!   prefills and decodes on every group. Handoff latency percentiles,
+//!   pool occupancy and steal counts land in [`DisaggReport`];
+//! * **survivable fleets** — one fault/recovery state machine serves both
+//!   topologies: the durable pool parks copies of claimed contexts
 //!   (capacity-free, evicted oldest-first) so a decode-tier crash
 //!   *rescues* orphans at switch-hop cost instead of re-prefilling them,
-//!   [`FaultSpec::PoolLinkDegrade`] / [`FaultPlan::chaos_disagg`] fault
-//!   the pool fabric itself, [`RecoveryMode`] picks how crashed groups
-//!   rejoin (cold, warm with retained contexts, or promoted standby
-//!   spares), and [`AdmissionPolicy`] sheds arrivals by priority class
-//!   against [`fleet_saturation`] — conservation stays exact:
+//!   [`FaultSpec::PoolLinkDegrade`] /
+//!   [`FaultPlan::chaos_disagg`] fault the pool fabric itself,
+//!   [`RecoveryMode`] picks how crashed groups rejoin (cold, warm with
+//!   retained contexts, or promoted standby spares), and
+//!   [`AdmissionPolicy`] sheds arrivals by priority class against
+//!   [`fleet_saturation`] — conservation stays exact:
 //!   `completed + rejected + dropped + shed = offered`.
 //!
 //! Pair with [`LoadCurve`](cent_serving::LoadCurve) diurnal modulation
@@ -98,10 +100,10 @@ mod router;
 
 pub use admission::{fleet_saturation, AdmissionPolicy};
 pub use disagg::{simulate_fleet_disagg, DisaggConfig, DisaggLog, DisaggOutcome, GroupRole};
-pub use fault::{ChaosRates, FaultPlan, FaultSchedule, FaultSpec, RecoveryMode, RetryPolicy};
-pub use fleet::{
-    simulate_fleet, simulate_fleet_instrumented, FaultLog, FleetOptions, FleetOutcome,
+pub use fault::{
+    ChaosRates, FaultLog, FaultPlan, FaultSchedule, FaultSpec, RecoveryMode, RetryPolicy,
 };
+pub use fleet::{simulate_fleet, simulate_fleet_instrumented, FleetOptions, FleetOutcome};
 pub use report::{
     DegradedReport, DisaggReport, FleetReport, GroupRow, RouterImbalance, UtilizationSpread,
 };

@@ -16,7 +16,7 @@ use cent_serving::{
 use cent_types::{SortedSamples, Time, TimeHistogram};
 
 use crate::disagg::{join_phases, DisaggLog, GroupRole};
-use crate::fleet::FaultLog;
+use crate::fault::FaultLog;
 
 /// Spread of a per-group utilization metric across the fleet.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

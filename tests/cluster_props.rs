@@ -22,8 +22,8 @@
 //!    exactly once on the decode tier, the shared-pool capacity bound is
 //!    never exceeded (publishes defer instead), the split fleet is
 //!    bit-identical across 1/2/8 worker threads with handoffs in flight,
-//!    and an all-`Colocated` configuration reproduces the base driver
-//!    bit for bit;
+//!    and an all-`Colocated` configuration (the driver's one-tier
+//!    topology) reproduces `simulate_fleet_instrumented` bit for bit;
 //! 7. `FaultPlan::chaos` behaves at its rate extremes: `crash_rate = 0`
 //!    draws no crashes and conserves every request, `crash_rate = 1`
 //!    drives the whole fleet down at once and the driver defers the
