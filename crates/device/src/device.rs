@@ -8,12 +8,15 @@
 //! §4.2. PNM instructions execute on the device clock; CXL receives stall
 //! until delivery.
 
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
+
 use cent_cxl::CommunicationEngine;
 use cent_dram::ActivityCounters;
 use cent_isa::{Instruction, MacOperand};
 use cent_pim::{ActivationFunction, MacSource, PimChannel};
 use cent_pnm::PnmStats;
-use cent_pnm::{programs, PnmCore, PnmUnits, SharedBuffer};
+use cent_pnm::{assemble, programs, PnmCore, PnmUnits, SharedBuffer};
 use cent_types::consts::{CHANNELS_PER_DEVICE, PNM_CLOCK_PERIOD, PNM_RISCV_CORES};
 use cent_types::{Beat, CentError, CentResult, ChannelId, DeviceId, SbSlot, Time};
 
@@ -42,12 +45,69 @@ pub mod riscv_pc {
     pub const ZERO_TAIL: u32 = 0x900;
 }
 
+/// Each canned routine at its start PC.
+const ROUTINES: [(u32, &str); 9] = [
+    (riscv_pc::RSQRT, programs::RSQRT),
+    (riscv_pc::RECIP, programs::RECIP),
+    (riscv_pc::RMSNORM_SCALE, programs::RMSNORM_SCALE),
+    (riscv_pc::ROPE_COMBINE, programs::ROPE_COMBINE),
+    (riscv_pc::VEC_ADD, programs::VEC_ADD),
+    (riscv_pc::VEC_SCALE, programs::VEC_SCALE),
+    (riscv_pc::DEINTERLEAVE, programs::DEINTERLEAVE),
+    (riscv_pc::SUB_COUNT, programs::SUB_COUNT),
+    (riscv_pc::ZERO_TAIL, programs::ZERO_TAIL),
+];
+
+/// The routines as instruction words, assembled once per process.
+fn routine_words() -> &'static [(u32, Vec<u32>)] {
+    static WORDS: OnceLock<Vec<(u32, Vec<u32>)>> = OnceLock::new();
+    WORDS.get_or_init(|| {
+        ROUTINES
+            .iter()
+            .map(|&(pc, source)| (pc, assemble(source).expect("the canned PNM routines assemble")))
+            .collect()
+    })
+}
+
+/// A core as the host leaves it at boot: every routine loaded at its PC.
+fn booted_core() -> PnmCore {
+    let mut core = PnmCore::new();
+    for (pc, words) in routine_words() {
+        core.load(*pc, words).expect("the canned PNM routines fit the text budget");
+    }
+    core
+}
+
+/// The argument registers `a0..a5` of the routine at `pc` for a `RISCV`
+/// instruction's `rd`, `rs` and `opsize` (`n`).
+fn routine_args(pc: u32, rd: SbSlot, rs: SbSlot, n: u32) -> CentResult<Vec<u32>> {
+    // Multi-array routines use exact packed strides of n elements (2n
+    // bytes) between consecutive arrays.
+    let stride = n * 2;
+    let (rd, rs) = (rd.byte_addr(), rs.byte_addr());
+    Ok(match pc {
+        riscv_pc::RSQRT | riscv_pc::RECIP => vec![rs, rd],
+        riscv_pc::RMSNORM_SCALE | riscv_pc::SUB_COUNT => vec![rs, n, rd],
+        riscv_pc::ROPE_COMBINE => vec![rs, rs + stride, rs + 2 * stride, rs + 3 * stride, rd, n],
+        riscv_pc::VEC_ADD | riscv_pc::VEC_SCALE => vec![rs, rs + stride, rd, n],
+        riscv_pc::DEINTERLEAVE => vec![rs, rd, n],
+        riscv_pc::ZERO_TAIL => vec![rd, n],
+        other => {
+            return Err(CentError::InvalidInstruction(format!(
+                "no RISC-V routine registered at pc {other:#x}"
+            )))
+        }
+    })
+}
+
 /// Configuration of one CXL device model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceConfig {
     /// PIM channels to instantiate (32 in the paper; tests use fewer).
     pub channels: usize,
-    /// Whether channels carry functional data.
+    /// Whether the device carries data through its channels, PNM units
+    /// and RISC-V cores. Timing and activity counters are the same either
+    /// way.
     pub functional: bool,
 }
 
@@ -114,6 +174,11 @@ pub struct CxlDevice {
     pnm: PnmUnits,
     cores: Vec<PnmCore>,
     next_core: usize,
+    /// Timing-only devices: `(latency, retired)` of each `RISCV` call
+    /// already interpreted, keyed by `(pc, rd, rs, opsize)`. The routines
+    /// branch only on their arguments, so the key fixes the instruction
+    /// mix the timing model prices.
+    riscv_timings: BTreeMap<(u32, SbSlot, SbSlot, u32), (Time, u64)>,
     now: Time,
     breakdown: LatencyBreakdown,
     instructions_executed: u64,
@@ -136,9 +201,10 @@ impl CxlDevice {
             config,
             channels,
             sb: SharedBuffer::new(),
-            pnm: PnmUnits::new(),
-            cores: (0..PNM_RISCV_CORES).map(|_| PnmCore::new()).collect(),
+            pnm: if config.functional { PnmUnits::functional() } else { PnmUnits::timing_only() },
+            cores: (0..PNM_RISCV_CORES).map(|_| booted_core()).collect(),
             next_core: 0,
+            riscv_timings: BTreeMap::new(),
             now: Time::ZERO,
             breakdown: LatencyBreakdown::ZERO,
             instructions_executed: 0,
@@ -452,52 +518,24 @@ impl CxlDevice {
     }
 
     fn run_riscv(&mut self, pc: u32, rd: SbSlot, rs: SbSlot, opsize: u32) -> CentResult<Time> {
-        let n = opsize;
-        // Multi-array routines use exact packed strides of n elements
-        // (2n bytes) between consecutive arrays.
-        let stride = n * 2;
-        let (program, args): (&str, Vec<u32>) = match pc {
-            riscv_pc::RSQRT => (programs::RSQRT, vec![rs.byte_addr(), rd.byte_addr()]),
-            riscv_pc::RECIP => (programs::RECIP, vec![rs.byte_addr(), rd.byte_addr()]),
-            riscv_pc::RMSNORM_SCALE => {
-                (programs::RMSNORM_SCALE, vec![rs.byte_addr(), n, rd.byte_addr()])
-            }
-            riscv_pc::ROPE_COMBINE => (
-                programs::ROPE_COMBINE,
-                vec![
-                    rs.byte_addr(),
-                    rs.byte_addr() + stride,
-                    rs.byte_addr() + 2 * stride,
-                    rs.byte_addr() + 3 * stride,
-                    rd.byte_addr(),
-                    n,
-                ],
-            ),
-            riscv_pc::VEC_ADD => (
-                programs::VEC_ADD,
-                vec![rs.byte_addr(), rs.byte_addr() + stride, rd.byte_addr(), n],
-            ),
-            riscv_pc::VEC_SCALE => (
-                programs::VEC_SCALE,
-                vec![rs.byte_addr(), rs.byte_addr() + stride, rd.byte_addr(), n],
-            ),
-            riscv_pc::DEINTERLEAVE => {
-                (programs::DEINTERLEAVE, vec![rs.byte_addr(), rd.byte_addr(), n])
-            }
-            riscv_pc::SUB_COUNT => (programs::SUB_COUNT, vec![rs.byte_addr(), n, rd.byte_addr()]),
-            riscv_pc::ZERO_TAIL => (programs::ZERO_TAIL, vec![rd.byte_addr(), n]),
-            other => {
-                return Err(CentError::InvalidInstruction(format!(
-                    "no RISC-V routine registered at pc {other:#x}"
-                )))
-            }
-        };
         // Round-robin over the 8 cores.
         let core_idx = self.next_core;
         self.next_core = (self.next_core + 1) % self.cores.len();
-        let run = self.cores[core_idx].run(&mut self.sb, program, &args)?;
-        self.pnm.note_riscv_instructions(run.retired);
-        Ok(run.latency)
+        let key = (pc, rd, rs, opsize);
+        let (latency, retired) = match self.riscv_timings.get(&key) {
+            Some(&timing) => timing,
+            None => {
+                let args = routine_args(pc, rd, rs, opsize)?;
+                let run = self.cores[core_idx].call(&mut self.sb, pc, &args)?;
+                let timing = (run.latency, run.stats.retired);
+                if !self.config.functional {
+                    self.riscv_timings.insert(key, timing);
+                }
+                timing
+            }
+        };
+        self.pnm.note_riscv_instructions(retired);
+        Ok(latency)
     }
 }
 
@@ -618,6 +656,46 @@ mod tests {
         .unwrap();
         let got = dev.shared_buffer().read(SbSlot(1)).unwrap()[0].to_f32();
         assert!((got - 0.5).abs() < 1e-2, "got {got}");
+    }
+
+    #[test]
+    fn routines_do_not_overlap_in_the_core_buffer() {
+        let words = routine_words();
+        for (i, (pc, w)) in words.iter().enumerate() {
+            let end = words.get(i + 1).map_or(pc + 0x100, |(next, _)| *next);
+            assert!(pc + 4 * w.len() as u32 <= end, "routine at {pc:#x} runs into {end:#x}");
+        }
+    }
+
+    #[test]
+    fn repeated_riscv_calls_reuse_timing_on_a_timing_only_device() {
+        let mut functional = small_device(0);
+        let mut timing =
+            CxlDevice::new(DeviceId(0), DeviceConfig { channels: 2, functional: false });
+        let calls = [
+            Instruction::Riscv {
+                opsize: 16,
+                pc: riscv_pc::VEC_SCALE,
+                rd: SbSlot(9),
+                rs: SbSlot(4),
+            },
+            Instruction::Riscv { opsize: 3, pc: riscv_pc::ZERO_TAIL, rd: SbSlot(2), rs: SbSlot(0) },
+        ];
+        for inst in calls.iter().chain(&calls) {
+            functional.execute(inst, None).unwrap();
+            timing.execute(inst, None).unwrap();
+            assert_eq!(functional.now(), timing.now());
+            assert_eq!(functional.pnm_activity(), timing.pnm_activity());
+        }
+        assert_eq!(timing.riscv_timings.len(), 2);
+        assert_eq!(functional.breakdown(), timing.breakdown());
+        // Failed calls are never remembered: a bad address traps every time.
+        let bad =
+            Instruction::Riscv { opsize: 1, pc: riscv_pc::RECIP, rd: SbSlot(0), rs: SbSlot(4000) };
+        for _ in 0..2 {
+            assert!(timing.execute(&bad, None).is_err());
+        }
+        assert_eq!(timing.riscv_timings.len(), 2);
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! BCAST. Execution is simultaneously functional (BF16 data) and timed
 //! (DRAM command timing + PNM unit pipelines), and produces the per-unit
 //! [`LatencyBreakdown`] used for Figure 14(c) of the paper.
+//!
+//! A timing-only device ([`DeviceConfig::timing_only`]) produces the same
+//! timing and activity counters bit for bit without carrying data: its
+//! channels and PNM units skip their lane arithmetic, and it interprets
+//! each distinct `RISCV` call once and reuses that call's timing.
 
 #![forbid(unsafe_code)]
 

@@ -10,7 +10,8 @@
 //! * [`SharedBuffer`] — dual-view device buffer;
 //! * [`PnmUnits`] — the fixed-function accelerators with timing;
 //! * [`PnmCore`] — one RISC-V core with its 64 KB local buffer;
-//! * [`programs`] — the canned PNM routines.
+//! * [`programs`] — the canned PNM routines, and [`assemble`] to turn them
+//!   into the words [`PnmCore::load`] writes.
 
 #![forbid(unsafe_code)]
 
@@ -20,5 +21,6 @@ mod shared_buffer;
 mod units;
 
 pub use crate::core::{PnmCore, RiscvRun, LOCAL_SIZE, SB_WINDOW_BASE, SB_WINDOW_SIZE};
+pub use cent_riscv::{assemble, ExecStats};
 pub use shared_buffer::SharedBuffer;
 pub use units::{exp_taylor, PnmStats, PnmUnits};

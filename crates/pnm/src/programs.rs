@@ -9,6 +9,12 @@
 //! BF16 values travel as the high half of an f32 (`bits << 16`), are
 //! processed in the core FPU at single precision and truncated back — the
 //! same path a BOOM core with an F unit takes.
+//!
+//! **A routine may branch only on its arguments, never on data it loads.**
+//! Its retired instruction mix, and with it the BOOM timing, is then a
+//! function of the arguments alone, which is what lets a timing-only device
+//! interpret each distinct call once and reuse its timing for every repeat.
+//! `routines_are_data_oblivious` below pins this for every routine.
 
 /// `RSQRT(a0: in_off, a1: out_off)`: `out = 1 / sqrt(in)`.
 pub const RSQRT: &str = "
@@ -251,7 +257,7 @@ done:
 mod tests {
     use crate::core::PnmCore;
     use crate::shared_buffer::SharedBuffer;
-    use cent_types::{Bf16, SbSlot};
+    use cent_types::{Bf16, Rng64, SbSlot};
 
     fn write_scalars(sb: &mut SharedBuffer, byte_off: u32, values: &[f32]) {
         for (i, v) in values.iter().enumerate() {
@@ -374,5 +380,49 @@ mod tests {
         assert_eq!(read_scalar(&sb, 4), 9.0); // lane 2 kept
         assert_eq!(read_scalar(&sb, 6), 0.0); // lane 3 zeroed
         assert_eq!(read_scalar(&sb, 30), 0.0); // lane 15 zeroed
+    }
+
+    /// A Shared Buffer whose every halfword is a seeded random bit pattern
+    /// (NaNs, infinities and subnormals included).
+    fn random_fill(seed: u64) -> SharedBuffer {
+        let mut sb = SharedBuffer::new();
+        let mut rng = Rng64::seed(seed);
+        for addr in (0..crate::SB_WINDOW_SIZE).step_by(2) {
+            sb.write_u16(addr, rng.next_u64() as u16).unwrap();
+        }
+        sb
+    }
+
+    #[test]
+    fn routines_are_data_oblivious() {
+        // Each routine's argument registers at size `n` (an element count,
+        // or ZERO_TAIL's start lane), laid out as the device passes them.
+        const RS: u32 = 256 * 32;
+        const RD: u32 = 1024 * 32;
+        type Args = fn(u32) -> Vec<u32>;
+        let cases: [(&str, Args, &[u32]); 9] = [
+            (super::RSQRT, |_| vec![RS, RD], &[1]),
+            (super::RECIP, |_| vec![RS, RD], &[1]),
+            (super::RMSNORM_SCALE, |n| vec![RS, n, RD], &[1, 64, 4096]),
+            (super::SUB_COUNT, |n| vec![RS, n, RD], &[0, 7, 15]),
+            (
+                super::ROPE_COMBINE,
+                |n| vec![RS, RS + 2 * n, RS + 4 * n, RS + 6 * n, RD, n],
+                &[0, 1, 8, 64],
+            ),
+            (super::VEC_ADD, |n| vec![RS, RS + 2 * n, RD, n], &[0, 1, 16, 128]),
+            (super::VEC_SCALE, |n| vec![RS, RS + 2 * n, RD, n], &[0, 1, 16, 128]),
+            (super::DEINTERLEAVE, |n| vec![RS, RD, n], &[0, 1, 8, 64]),
+            (super::ZERO_TAIL, |start| vec![RD, start], &[0, 1, 3, 15, 16]),
+        ];
+        for (i, (source, args, sizes)) in cases.into_iter().enumerate() {
+            for &n in sizes {
+                let [a, b] = [3, 0xC0FFEE].map(|seed| {
+                    PnmCore::new().run(&mut random_fill(seed), source, &args(n)).unwrap()
+                });
+                assert_eq!(a.stats, b.stats, "routine {i} at n = {n}");
+                assert_eq!(a.latency, b.latency, "routine {i} at n = {n}");
+            }
+        }
     }
 }

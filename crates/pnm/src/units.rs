@@ -58,18 +58,28 @@ pub fn exp_taylor(x: f32) -> f32 {
 /// Timing: each of the 32 unit instances of a kind accepts one beat per
 /// 2 GHz cycle once its pipeline is full; an operation over `OPsize` beats
 /// therefore takes `ceil(OPsize / 32)` cycles plus a small pipeline fill.
-#[derive(Debug, Clone, Default)]
+/// That depends on `OPsize` alone, so a timing-only pool
+/// ([`PnmUnits::timing_only`]) checks the same Shared Buffer slots and
+/// counts the same beats as a functional one but skips the lane arithmetic.
+#[derive(Debug, Clone)]
 pub struct PnmUnits {
     stats: PnmStats,
+    functional: bool,
 }
 
 /// Pipeline depth of the fixed-function units, in PNM cycles.
 const PIPELINE_FILL: u64 = 2;
 
 impl PnmUnits {
-    /// Creates the unit pool.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates a unit pool that computes on the Shared Buffer's data.
+    pub fn functional() -> Self {
+        PnmUnits { stats: PnmStats::default(), functional: true }
+    }
+
+    /// Creates a unit pool that times and counts its operations but leaves
+    /// the Shared Buffer's data untouched.
+    pub fn timing_only() -> Self {
+        PnmUnits { stats: PnmStats::default(), functional: false }
     }
 
     /// Activity counters.
@@ -100,13 +110,17 @@ impl PnmUnits {
         rs: SbSlot,
         opsize: usize,
     ) -> CentResult<Time> {
-        for i in 0..opsize {
-            let src = sb.read(rs.offset(i as u16))?;
-            let mut dst = sb.read(rd.offset(i as u16))?;
-            for lane in 0..16 {
-                dst[lane] += src[lane];
+        if self.functional {
+            for i in 0..opsize {
+                let src = sb.read(rs.offset(i as u16))?;
+                let mut dst = sb.read(rd.offset(i as u16))?;
+                for lane in 0..16 {
+                    dst[lane] += src[lane];
+                }
+                sb.write(rd.offset(i as u16), &dst)?;
             }
-            sb.write(rd.offset(i as u16), &dst)?;
+        } else {
+            check_operands(sb, rd, rs, opsize)?;
         }
         self.stats.acc_beats += opsize as u64;
         Ok(self.unit_time(opsize, PNM_ACCUMULATORS))
@@ -127,13 +141,17 @@ impl PnmUnits {
         rs: SbSlot,
         opsize: usize,
     ) -> CentResult<Time> {
-        for i in 0..opsize {
-            let src = sb.read(rs.offset(i as u16))?;
-            // The tree reduces pairwise in wider precision; model as f32 sum.
-            let sum: f32 = src.iter().map(|v| v.to_f32()).sum();
-            let mut dst = ZERO_BEAT;
-            dst[0] = Bf16::from_f32(sum);
-            sb.write(rd.offset(i as u16), &dst)?;
+        if self.functional {
+            for i in 0..opsize {
+                let src = sb.read(rs.offset(i as u16))?;
+                // The tree reduces pairwise in wider precision; model as f32 sum.
+                let sum: f32 = src.iter().map(|v| v.to_f32()).sum();
+                let mut dst = ZERO_BEAT;
+                dst[0] = Bf16::from_f32(sum);
+                sb.write(rd.offset(i as u16), &dst)?;
+            }
+        } else {
+            check_operands(sb, rd, rs, opsize)?;
         }
         self.stats.red_beats += opsize as u64;
         Ok(self.unit_time(opsize, PNM_REDUCTION_TREES))
@@ -152,19 +170,35 @@ impl PnmUnits {
         rs: SbSlot,
         opsize: usize,
     ) -> CentResult<Time> {
-        for i in 0..opsize {
-            let src = sb.read(rs.offset(i as u16))?;
-            let mut dst = ZERO_BEAT;
-            for lane in 0..16 {
-                dst[lane] = Bf16::from_f32(exp_taylor(src[lane].to_f32()));
+        if self.functional {
+            for i in 0..opsize {
+                let src = sb.read(rs.offset(i as u16))?;
+                let mut dst = ZERO_BEAT;
+                for lane in 0..16 {
+                    dst[lane] = Bf16::from_f32(exp_taylor(src[lane].to_f32()));
+                }
+                sb.write(rd.offset(i as u16), &dst)?;
             }
-            sb.write(rd.offset(i as u16), &dst)?;
+        } else {
+            check_operands(sb, rd, rs, opsize)?;
         }
         self.stats.exp_beats += opsize as u64;
         // The Taylor pipeline is deeper than the accumulators.
         let cycles = (opsize as u64).div_ceil(PNM_EXP_UNITS as u64) + 10;
         Ok(PNM_CLOCK_PERIOD.times(cycles))
     }
+}
+
+/// Fails exactly where a lane loop over `opsize` beats would: at the first
+/// beat `i` whose `rs + i` (checked first) or `rd + i` is out of range.
+fn check_operands(sb: &SharedBuffer, rd: SbSlot, rs: SbSlot, opsize: usize) -> CentResult<()> {
+    let room = |slot: SbSlot| sb.slot_count().saturating_sub(slot.index());
+    let i = opsize.min(room(rs)).min(room(rd));
+    if i < opsize {
+        sb.read(rs.offset(i as u16))?;
+        sb.read(rd.offset(i as u16))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -182,7 +216,7 @@ mod tests {
     #[test]
     fn acc_adds_lanewise() {
         let mut sb = SharedBuffer::new();
-        let mut units = PnmUnits::new();
+        let mut units = PnmUnits::functional();
         sb.write(SbSlot(0), &beat_of(&[1.0; 16])).unwrap();
         sb.write(SbSlot(10), &beat_of(&[2.0; 16])).unwrap();
         let t = units.acc(&mut sb, SbSlot(0), SbSlot(10), 1).unwrap();
@@ -194,7 +228,7 @@ mod tests {
     #[test]
     fn red_sums_sixteen_lanes_into_lane_zero() {
         let mut sb = SharedBuffer::new();
-        let mut units = PnmUnits::new();
+        let mut units = PnmUnits::functional();
         let v: Vec<f32> = (1..=16).map(|i| i as f32).collect();
         sb.write(SbSlot(3), &beat_of(&v)).unwrap();
         units.red(&mut sb, SbSlot(4), SbSlot(3), 1).unwrap();
@@ -206,7 +240,7 @@ mod tests {
     #[test]
     fn exp_matches_reference_within_bf16() {
         let mut sb = SharedBuffer::new();
-        let mut units = PnmUnits::new();
+        let mut units = PnmUnits::functional();
         let inputs = [-30.0f32, -8.0, -2.0, -0.5, 0.0, 0.5, 2.0, 5.0];
         sb.write(SbSlot(0), &beat_of(&inputs)).unwrap();
         units.exp(&mut sb, SbSlot(1), SbSlot(0), 1).unwrap();
@@ -228,9 +262,40 @@ mod tests {
     }
 
     #[test]
+    fn timing_only_units_time_and_count_like_functional_ones_without_data() {
+        let mut fill = SharedBuffer::new();
+        for slot in 0..64u16 {
+            fill.write(SbSlot(slot), &beat_of(&[0.25 * f32::from(slot); 16])).unwrap();
+        }
+        type Op = fn(&mut PnmUnits, &mut SharedBuffer, SbSlot, SbSlot, usize) -> CentResult<Time>;
+        let ops: [Op; 3] = [PnmUnits::acc, PnmUnits::red, PnmUnits::exp];
+        for op in ops {
+            let (mut functional, mut timing) = (PnmUnits::functional(), PnmUnits::timing_only());
+            for opsize in [0, 1, 31, 32, 33, 64] {
+                let (mut f_sb, mut t_sb) = (fill.clone(), fill.clone());
+                let f = op(&mut functional, &mut f_sb, SbSlot(0), SbSlot(64), opsize).unwrap();
+                let t = op(&mut timing, &mut t_sb, SbSlot(0), SbSlot(64), opsize).unwrap();
+                assert_eq!(f, t, "opsize {opsize}");
+                for slot in 0..64u16 {
+                    assert_eq!(t_sb.read(SbSlot(slot)).unwrap(), fill.read(SbSlot(slot)).unwrap());
+                }
+            }
+            assert_eq!(functional.stats(), timing.stats());
+            // Out-of-range operands fail on the same slot either way.
+            let last = SharedBuffer::new().slot_count() as u16 - 1;
+            for (rd, rs, opsize) in [(last, 0, 2), (0, last, 2), (last, last, 3), (last + 1, 0, 1)]
+            {
+                let f = op(&mut functional, &mut fill.clone(), SbSlot(rd), SbSlot(rs), opsize);
+                let t = op(&mut timing, &mut fill.clone(), SbSlot(rd), SbSlot(rs), opsize);
+                assert_eq!(f.unwrap_err().to_string(), t.unwrap_err().to_string());
+            }
+        }
+    }
+
+    #[test]
     fn throughput_scales_with_unit_count() {
         let mut sb = SharedBuffer::new();
-        let mut units = PnmUnits::new();
+        let mut units = PnmUnits::functional();
         // 64 beats over 32 accumulators = 2 + fill cycles at 0.5 ns.
         let t = units.acc(&mut sb, SbSlot(0), SbSlot(100), 64).unwrap();
         assert_eq!(t.as_ns(), (2 + 2) as f64 * 0.5);

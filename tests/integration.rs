@@ -136,3 +136,49 @@ fn hybrid_mapping_builds_and_runs() {
     assert_eq!(out.len(), cfg.hidden);
     assert_eq!(system.mapping().tp_degree, 2);
 }
+
+#[test]
+fn timing_only_devices_time_exactly_like_functional_ones() {
+    // A timing-only device carries no channel or PNM data and reuses the
+    // timing of repeated RISC-V routine calls; none of that may move a
+    // single picosecond or counter against a data-carrying device.
+    use cent_types::DeviceId;
+    let cfg = ModelConfig::tiny();
+    for (strategy, devices) in [
+        (Strategy::PipelineParallel, 1),
+        (Strategy::PipelineParallel, 2),
+        (Strategy::TensorParallel, 1),
+        (Strategy::TensorParallel, 2),
+    ] {
+        let mut functional = CentSystem::functional(&cfg, devices, strategy).unwrap();
+        let mut timing = CentSystem::timing_only(&cfg, devices, strategy).unwrap();
+        functional.load_random_weights(21).unwrap();
+        timing.load_random_weights(21).unwrap();
+        for t in 0..3 {
+            let x = input(&cfg, t);
+            functional.decode_token(&x, t).unwrap();
+            timing.decode_token(&x, t).unwrap();
+        }
+        let case = format!("{strategy:?}/{devices}");
+        assert_eq!(functional.elapsed(), timing.elapsed(), "{case}: elapsed");
+        assert_eq!(functional.breakdown(), timing.breakdown(), "{case}: breakdown");
+        let mut compared = 0;
+        for id in 0..devices as u16 {
+            let (Some(f), Some(t)) = (functional.device(DeviceId(id)), timing.device(DeviceId(id)))
+            else {
+                assert!(functional.device(DeviceId(id)).is_none(), "{case}: device {id}");
+                assert!(timing.device(DeviceId(id)).is_none(), "{case}: device {id}");
+                continue;
+            };
+            assert_eq!(f.dram_activity(), t.dram_activity(), "{case}: device {id} DRAM");
+            assert_eq!(f.pnm_activity(), t.pnm_activity(), "{case}: device {id} PNM");
+            assert_eq!(
+                f.instructions_executed(),
+                t.instructions_executed(),
+                "{case}: device {id} instructions"
+            );
+            compared += 1;
+        }
+        assert!(compared > 0, "{case}: no device built");
+    }
+}
