@@ -681,11 +681,16 @@ impl ServingSystem {
         let mut residents: BTreeMap<RequestId, RefResident> = BTreeMap::new();
         // Growth-victim scratch buffer, allocated once per run.
         let mut victims: Vec<Preemption> = Vec::new();
-        // Token events order by admission epoch within an instant (offset
-        // past the arrival sequence range), so simultaneous tokens resolve
-        // in admission order — the same total order the bucketed engine's
-        // bucket walk uses.
+        // Token events order by (replica, admission epoch) within an
+        // instant, offset past the arrival sequence range: simultaneous
+        // tokens resolve replica by replica in index order and in admission
+        // order within a replica — the order the span engine's decision
+        // ticks walk in.
         let seq_base = trace.len() as u64;
+        let token_seq = |replica: usize, epoch: u64| {
+            debug_assert!(epoch < 1 << 40, "admission epoch fits the token key");
+            seq_base + ((replica as u64) << 40 | epoch)
+        };
 
         while let Some(t) = heap.next_instant() {
             core.accumulate_to(t);
@@ -718,11 +723,8 @@ impl ServingSystem {
                             let r = residents.remove(&id).expect("finished resident");
                             core.finish(r.q, r.replica, t);
                         } else {
-                            heap.push_seq(
-                                t + interval,
-                                seq_base + epoch,
-                                Event::Token { id, epoch },
-                            );
+                            let seq = token_seq(r.replica, epoch);
+                            heap.push_seq(t + interval, seq, Event::Token { id, epoch });
                         }
                     }
                     Event::Tick { .. } | Event::Wake { .. } => {
@@ -738,11 +740,8 @@ impl ServingSystem {
                         id,
                         RefResident { q: p.q, replica: p.replica, lease: p.lease, epoch: p.epoch },
                     );
-                    heap.push_seq(
-                        p.first_token,
-                        seq_base + p.epoch,
-                        Event::Token { id, epoch: p.epoch },
-                    );
+                    let seq = token_seq(p.replica, p.epoch);
+                    heap.push_seq(p.first_token, seq, Event::Token { id, epoch: p.epoch });
                 }
             }
         }
@@ -817,6 +816,8 @@ pub struct GroupSim {
     due: Vec<u32>,
     victims: Vec<Preemption>,
     dirty: Vec<bool>,
+    /// Replicas whose decision fires at the current instant.
+    firing: Vec<u32>,
     /// Requests pushed so far (the report's `submitted` denominator).
     submitted: usize,
     /// Horizon `advance_to` has consumed; arrivals must not land behind it.
@@ -848,6 +849,7 @@ impl GroupSim {
             due: Vec::new(),
             victims: Vec::new(),
             dirty: vec![false; replicas],
+            firing: Vec::with_capacity(replicas),
             submitted: 0,
             advanced_to: Time::ZERO,
         }
@@ -1026,6 +1028,7 @@ impl GroupSim {
         // Charge occupancy up to the crash instant first, so the integrals
         // reflect the work the group really did.
         core.accumulate_to(at);
+        core.window_end = at;
         let mut orphans: Vec<RequestSpec> = Vec::new();
         // In-flight residents: release their leases and reclaim the specs.
         // Progress is discarded — the KV pages died with the group.
@@ -1091,7 +1094,8 @@ impl GroupSim {
     /// semantics.
     fn step(&mut self, t: Time) {
         let interval = self.interval;
-        let GroupSim { core, heap, slab, spans, lease_handle, due, victims, dirty, .. } = self;
+        let GroupSim { core, heap, slab, spans, lease_handle, due, victims, dirty, firing, .. } =
+            self;
         core.accumulate_to(t);
         // Fast-forward every replica's deterministic emissions up to
         // `t` — inclusive unless the replica's own decision fires at
@@ -1104,63 +1108,72 @@ impl GroupSim {
             span_area += core.fast_forward_replica(slab, &span.members, t, inclusive);
         }
         core.kv_integral.add_area(span_area);
-        // Drain every event at this instant, then admit once.
+        // Drain every event at this instant, collecting the replicas whose
+        // decision fires. Clearing `scheduled` on the first live wake drops
+        // any duplicate wake for the same replica and instant.
+        firing.clear();
         while let Some(event) = heap.pop_at(t) {
             match event {
                 Event::Arrive(spec) => core.arrive(spec),
                 Event::Wake { replica } => {
-                    let replica = replica as usize;
-                    if spans[replica].scheduled != Some(t) {
+                    let span = &mut spans[replica as usize];
+                    if span.scheduled != Some(t) {
                         // Superseded by a re-solved decision: drop it.
                         continue;
                     }
-                    spans[replica].scheduled = None;
-                    dirty[replica] = true;
-                    core.tick_events += 1;
-                    // The decision tick: walk due residents in
-                    // admission order, exactly like a bucketed tick.
-                    due.clear();
-                    due.extend(
-                        spans[replica]
-                            .members
-                            .iter()
-                            .copied()
-                            .filter(|&h| slab.get(h).is_some_and(|r| r.next_at == t)),
-                    );
-                    for &h in due.iter() {
-                        let Some(r) = slab.get(h) else { continue };
-                        if r.next_at != t {
-                            continue;
-                        }
-                        let lease = r.lease;
-                        let mut self_preempted = false;
-                        core.scheduler.grow(lease, victims);
-                        for &p in victims.iter() {
-                            let vh = lease_handle[p.lease.index()];
-                            let v = slab.remove(vh);
-                            debug_assert_eq!(v.q.spec.id, p.id, "slab and leases agree");
-                            remove_span_member(&mut spans[v.replica].members, vh);
-                            if p.lease == lease {
-                                self_preempted = true;
-                            }
-                            core.preempt(v.q, v.replica);
-                        }
-                        if self_preempted {
-                            continue;
-                        }
-                        let r = slab.get_mut(h).expect("survived growth");
-                        if core.emit_token(&mut r.q, t) {
-                            core.scheduler.complete(lease);
-                            let r = slab.remove(h);
-                            remove_span_member(&mut spans[r.replica].members, h);
-                            core.finish(r.q, r.replica, t);
-                        } else {
-                            r.next_at = t + interval;
-                        }
-                    }
+                    span.scheduled = None;
+                    firing.push(replica);
                 }
                 Event::Token { .. } | Event::Tick { .. } => {
                     unreachable!("span engine schedules only replica wakes")
+                }
+            }
+        }
+        // The decision ticks, replicas in index order and residents in
+        // admission order: evictions on different replicas compete for the
+        // shared host pool, so the order is part of the semantics.
+        firing.sort_unstable();
+        for &replica in firing.iter() {
+            let replica = replica as usize;
+            dirty[replica] = true;
+            core.tick_events += 1;
+            due.clear();
+            due.extend(
+                spans[replica]
+                    .members
+                    .iter()
+                    .copied()
+                    .filter(|&h| slab.get(h).is_some_and(|r| r.next_at == t)),
+            );
+            for &h in due.iter() {
+                let Some(r) = slab.get(h) else { continue };
+                if r.next_at != t {
+                    continue;
+                }
+                let lease = r.lease;
+                let mut self_preempted = false;
+                core.scheduler.grow(lease, victims);
+                for &p in victims.iter() {
+                    let vh = lease_handle[p.lease.index()];
+                    let v = slab.remove(vh);
+                    debug_assert_eq!(v.q.spec.id, p.id, "slab and leases agree");
+                    remove_span_member(&mut spans[v.replica].members, vh);
+                    if p.lease == lease {
+                        self_preempted = true;
+                    }
+                    core.preempt(v.q, v.replica);
+                }
+                if self_preempted {
+                    continue;
+                }
+                let r = slab.get_mut(h).expect("survived growth");
+                if core.emit_token(&mut r.q, t) {
+                    core.scheduler.complete(lease);
+                    let r = slab.remove(h);
+                    remove_span_member(&mut spans[r.replica].members, h);
+                    core.finish(r.q, r.replica, t);
+                } else {
+                    r.next_at = t + interval;
                 }
             }
         }
@@ -1293,6 +1306,9 @@ struct Core {
     recompute_stall: Time,
     swap_stall: Time,
     last_t: Time,
+    /// End of the utilization window: the latest arrival, token or crash
+    /// instant. `last_t` can run past it on a stale heap entry.
+    window_end: Time,
     /// Monotone admission counter; doubles as the staleness epoch of the
     /// reference engine and the bucket ordering key of the bucketed one.
     epoch: u64,
@@ -1361,6 +1377,7 @@ impl Core {
             recompute_stall: Time::ZERO,
             swap_stall: Time::ZERO,
             last_t: Time::ZERO,
+            window_end: Time::ZERO,
             epoch: 0,
             admission_dirty: false,
             granular_kv: matches!(options.kv, KvMode::TokenGranular { .. }),
@@ -1400,6 +1417,7 @@ impl Core {
     /// Accepts an arriving request: per-class accounting plus the
     /// scheduler's feasibility check.
     fn arrive(&mut self, spec: RequestSpec) {
+        self.window_end = self.last_t;
         *self.submitted_by_class.entry(spec.class).or_insert(0) += 1;
         self.scheduler.enqueue(spec);
         self.admission_dirty = true;
@@ -1511,6 +1529,7 @@ impl Core {
     fn emit_span(&mut self, q: &mut QueuedRequest, first: Time, count: u64) {
         self.tokens += count;
         let interval = self.token_interval;
+        self.window_end = self.window_end.max(first + interval.times(count - 1));
         let class = self.tbt_by_class.entry(q.spec.class).or_default();
         if let Some(gap) = q.apply_token_span(first, interval, count) {
             self.tbt.record(gap);
@@ -1568,6 +1587,7 @@ impl Core {
     fn emit_token(&mut self, q: &mut QueuedRequest, t: Time) -> bool {
         q.progress += 1;
         self.tokens += 1;
+        self.window_end = t;
         if q.first_token.is_none() {
             q.first_token = Some(t);
         }
@@ -1649,7 +1669,10 @@ impl Core {
         offered_qps: f64,
         heap: &EventHeap,
     ) -> GroupOutcome {
-        let span_ps = self.last_t.as_ps();
+        // Occupancy is zero past the window's end (every token, arrival and
+        // crash lies inside it), so stale heap entries popped after it
+        // charge nothing and must not stretch the denominator.
+        let span_ps = self.window_end.as_ps();
         let slot_utilization = self.busy_integral.fraction_of(self.total_slots as u128, span_ps);
         let kv_utilization = self.kv_integral.fraction_of(
             u128::from(self.scheduler.kv_budget_tokens()) * self.replicas as u128,
@@ -1662,9 +1685,8 @@ impl Core {
         };
         let host_kv_utilization =
             self.host_integral.fraction_of(u128::from(self.spill.host_pool_tokens), span_ps);
-        // Releases scheduled past the final event (a page-in whose drain
-        // starts after the last token) fire here; their tail occupancy is
-        // not charged to the utilization integral, which ends at `last_t`.
+        // Releases scheduled past the final event fire here; their tail
+        // occupancy is not charged to the utilization integral.
         while let Some(Reverse((_, tokens))) = self.host_pending.pop() {
             self.host_used =
                 self.host_used.checked_sub(tokens).expect("host pool released more than it held");
