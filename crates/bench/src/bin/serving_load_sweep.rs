@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use cent_bench::Report;
 use cent_model::ModelConfig;
-use cent_serving::{ServeOptions, ServingReport, ServingSystem, TickEngine, Workload};
+use cent_serving::{ServingReport, ServingSystem, Workload};
 use cent_types::Time;
 
 const LOADS: [f64; 8] = [0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.25, 1.5];
@@ -56,10 +56,7 @@ fn main() {
                     thinned = Workload::thin_trace(&base, load / max_load, 0xCE27 ^ load.to_bits());
                     &thinned
                 };
-                // Span fast-forward: bit-identical to the default engine
-                // (tests/serving_props.rs), minus the per-tick event cost.
-                let options = ServeOptions::default().with_engine(TickEngine::SpanFastForward);
-                *slot = Some(system.serve_trace_with(trace, load * capacity, options));
+                *slot = Some(system.serve_trace(trace, load * capacity));
             });
         }
     });

@@ -35,7 +35,7 @@ use cent_model::ModelConfig;
 use cent_serving::{
     ArrivalProcess, DeadlineAware, KvBudget, KvMode, KvSpillConfig, KvSpillMode, LengthSampler,
     RequestSpec, SchedulerConfig, ServeOptions, ServingReport, ServingSystem,
-    ShortestRemainingDecode, TickEngine, Workload,
+    ShortestRemainingDecode, Workload,
 };
 use cent_types::Time;
 
@@ -99,10 +99,7 @@ fn run_grid(
             let (_, options) = &configs[idx / rates.len()];
             let rate = rates[idx % rates.len()];
             let trace = Arc::clone(&traces[idx % rates.len()]);
-            // The span-fast-forward engine is bit-identical to the default
-            // bucketed core (enforced by tests/serving_props.rs) and jumps
-            // deterministic decode spans, so the grid sweeps faster.
-            let options = options.clone().with_engine(TickEngine::SpanFastForward);
+            let options = options.clone();
             scope.spawn(move || {
                 *cell = Some(system.serve_trace_with(&trace, rate, options));
             });

@@ -1,30 +1,26 @@
-//! Simulator self-benchmark: the three serving event cores — the
-//! span-fast-forward engine, the phase-bucketed tick engine and the
-//! retained per-token reference loop — measured side by side; the repo's
+//! Simulator self-benchmark: the span-fast-forward serving engine measured
+//! against the retained per-token reference loop; the repo's
 //! perf-trajectory artifact.
 //!
-//! For each shape, the same trace is served by every selected
-//! [`TickEngine`] and the bin records wall-clock time, simulated tokens
-//! per wall-second, heap events (pushes + pops) per generated token and
-//! heap allocations per token, asserting along the way that all engines'
-//! `ServingReport`s are bit-identical — perf numbers for diverging
-//! simulations would be meaningless. Results print as a table and land in
+//! For each shape, the same trace is served by both [`TickEngine`]s and the
+//! bin records wall-clock time, simulated tokens per wall-second, heap
+//! events (pushes + pops) per generated token and heap allocations per
+//! token, asserting along the way that the two engines' `ServingReport`s
+//! are bit-identical — perf numbers for diverging simulations would be
+//! meaningless. Results print as a table and land in
 //! `results/BENCH_serving_sim.json` (schema documented in the README's
 //! Performance section).
 //!
 //! Run with `cargo run --release --bin sim_perf`; pass `--smoke` for the
 //! CI mode, which uses small synthetic shapes (one clean, one churning the
 //! swap-to-CXL spill tier, one multi-replica under token-granular
-//! pressure), skips the slow planner sweeps, and fails if the fast engines
-//! do not beat the reference on heap traffic (deterministic) and
+//! pressure), skips the slow planner sweeps, and fails if the span engine
+//! does not beat the reference on heap traffic (deterministic) and
 //! wall-clock (with noise slack). Both modes end with a cluster shape —
 //! a 64-group fleet of the paper's PP/8 deployment under a diurnal
 //! chatbot load — timing the epoch-driven fleet driver against per-group
 //! reference replays and asserting the merged `FleetReport` is
-//! bit-identical across worker-thread counts. `--engines all` (the default) runs the
-//! full three-engine cross-check in one process; a comma list (e.g.
-//! `--engines bucketed,span`) restricts the measured set — the reference
-//! loop is always included as the ratio baseline. A
+//! bit-identical across worker-thread counts. A
 //! `cluster-disagg-4p4d-sharegpt` row times the disaggregated
 //! prefill/decode driver (shared-pool handoffs, chunked prefill) against
 //! the colocated per-token replay of the same trace, and a closing
@@ -34,18 +30,17 @@
 //! keep the survivable-disaggregation path on the perf gate.
 //!
 //! The process installs a counting global allocator: after each measured
-//! run the bin asserts the fast engines allocate (amortised) nothing on
+//! run the bin asserts the span engine allocates (amortised) nothing on
 //! the per-token hot path — preemption victims and tick snapshots land in
 //! run-owned scratch buffers, so steady-state allocations scale with
 //! admissions, not tokens.
 //!
 //! Pass `--check-against <path>` to gate against a committed baseline
 //! (`results/BENCH_serving_sim_baseline.json`): the run fails if any
-//! baseline `(shape, engine)` row regresses by more than 20% on heap
-//! events per token (deterministic) or on the reference→engine wall-clock
-//! speedup (the machine-normalized wall-clock metric — absolute seconds
-//! are not comparable across runners, the engines' ratio on the same
-//! machine is).
+//! baseline shape's span row regresses by more than 20% on heap events per
+//! token (deterministic) or on the reference→span wall-clock speedup (the
+//! machine-normalized wall-clock metric — absolute seconds are not
+//! comparable across runners, the engines' ratio on the same machine is).
 
 // The counting global allocator below must implement the unsafe
 // `GlobalAlloc` trait; this is the workspace's one sanctioned use of
@@ -65,8 +60,9 @@ use cent_cost::KvSwapCost;
 use cent_cxl::FabricConfig;
 use cent_model::ModelConfig;
 use cent_serving::{
-    ArrivalProcess, ClassMix, KvBudget, KvMode, KvSpillConfig, LengthSampler, LoadCurve,
-    RequestSpec, SchedulerConfig, ServeOptions, ServingSystem, SimStats, TickEngine, Workload,
+    ArrivalProcess, ClassMix, GroupOutcome, KvBudget, KvMode, KvSpillConfig, LengthSampler,
+    LoadCurve, RequestSpec, SchedulerConfig, ServeOptions, ServingReport, ServingSystem, SimStats,
+    TickEngine, Workload,
 };
 use cent_types::{ByteSize, Time};
 
@@ -121,23 +117,26 @@ impl Measurement {
     }
 }
 
+/// Runs `f` once, returning its value, wall time in seconds and the heap
+/// allocations it made.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64, u64) {
+    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let start = Instant::now();
+    let value = f();
+    let wall_s = start.elapsed().as_secs_f64();
+    (value, wall_s, ALLOCATIONS.load(Ordering::Relaxed) - allocs_before)
+}
+
 /// Runs the shape `repeats` times and keeps the *minimum* wall time (the
 /// run least disturbed by scheduler noise — the simulation itself is
 /// deterministic, so stats and report are identical across repeats).
-fn measure(
-    shape: &Shape,
-    engine: TickEngine,
-    repeats: u32,
-) -> (Measurement, cent_serving::ServingReport) {
-    let mut best: Option<(Measurement, cent_serving::ServingReport)> = None;
+fn measure(shape: &Shape, engine: TickEngine, repeats: u32) -> (Measurement, ServingReport) {
+    let mut best: Option<(Measurement, ServingReport)> = None;
     for _ in 0..repeats.max(1) {
         let options = shape.options.clone().with_engine(engine);
-        let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-        let start = Instant::now();
-        let (report, stats) =
-            shape.system.serve_trace_instrumented(&shape.trace, shape.offered_qps, options);
-        let wall_s = start.elapsed().as_secs_f64();
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+        let ((report, stats), wall_s, allocations) = timed(|| {
+            shape.system.serve_trace_instrumented(&shape.trace, shape.offered_qps, options)
+        });
         if best.as_ref().is_none_or(|(m, _)| wall_s < m.wall_s) {
             best = Some((Measurement { wall_s, stats, allocations }, report));
         }
@@ -259,6 +258,144 @@ fn full_shapes() -> Vec<Shape> {
     shapes
 }
 
+/// A timed fleet run as one measurement: its groups' event-core counters
+/// summed.
+fn fleet_measurement(groups: &[GroupOutcome], wall_s: f64, allocations: u64) -> Measurement {
+    let mut stats = SimStats::default();
+    for o in groups {
+        stats += o.stats;
+    }
+    Measurement { wall_s, stats, allocations }
+}
+
+/// The per-token reference replay of a fleet: each group's routed
+/// sub-trace served by the reference loop, timed. With `check`, every
+/// replayed group must report identically to its fleet outcome.
+fn reference_replay(
+    system: &ServingSystem,
+    trace: &[RequestSpec],
+    routed: &[usize],
+    rate: f64,
+    groups: usize,
+    check: Option<(&str, &[GroupOutcome])>,
+) -> Measurement {
+    let mut sub: Vec<Vec<RequestSpec>> = vec![Vec::new(); groups];
+    for (spec, &g) in trace.iter().zip(routed) {
+        sub[g].push(*spec);
+    }
+    let per_group_qps = rate / groups as f64;
+    let options = ServeOptions::default().with_engine(TickEngine::PerTokenReference);
+    let (stats, wall_s, allocations) = timed(|| {
+        let mut stats = SimStats::default();
+        for (g, group_trace) in sub.iter().enumerate() {
+            let (report, run) =
+                system.serve_trace_instrumented(group_trace, per_group_qps, options.clone());
+            if let Some((name, outcomes)) = check {
+                assert_eq!(
+                    report, outcomes[g].report,
+                    "{name}: group {g} fleet run must report identically to the reference loop"
+                );
+            }
+            stats += run;
+        }
+        stats
+    });
+    Measurement { wall_s, stats, allocations }
+}
+
+/// One fleet row of the artifact: the fleet run against its reference
+/// replay.
+struct FleetRow<'a> {
+    name: &'a str,
+    /// What ran, for assertion messages ("fleet", "disaggregated", ...).
+    what: &'a str,
+    /// Row-specific JSON fields between the name and the engine blocks.
+    fields: String,
+    /// Row-specific JSON flags after the shared ones.
+    flags: &'a str,
+    /// Minimum heap-event ratio against the reference.
+    floor: f64,
+    /// Whether the table shows the reference line above the span line.
+    print_reference: bool,
+}
+
+/// Prints, checks and formats one fleet row. The fleet run is two orders
+/// of magnitude faster than the reference replay, so its wall clock is a
+/// few milliseconds — too short for a ±20% gate. The *recorded* speedup
+/// is clamped at 20x: the gate then compares saturated values (stable),
+/// and any regression big enough to matter pulls the true ratio under the
+/// cap and trips it. The heap-event floor is deterministic: incremental
+/// epoch driving must not reintroduce per-token heap events. Wall-clock
+/// only gates in smoke mode.
+fn fleet_row(
+    row: FleetRow,
+    reference: &Measurement,
+    span: &Measurement,
+    smoke: bool,
+) -> (String, GateRow) {
+    let FleetRow { name, what, fields, flags, floor, print_reference } = row;
+    let speedup = (reference.wall_s / span.wall_s.max(1e-9)).min(20.0);
+    let heap_ratio =
+        reference.stats.heap_events_per_token() / span.stats.heap_events_per_token().max(1e-9);
+    if print_reference {
+        print_reference_line(name, reference);
+    }
+    print_span_line(if print_reference { "" } else { name }, span, speedup, heap_ratio);
+    assert!(
+        heap_ratio >= floor,
+        "{name}: {what} heap-event ratio {heap_ratio:.2} < {floor}x vs the reference loop"
+    );
+    if smoke {
+        assert!(
+            span.wall_s <= 1.25 * reference.wall_s,
+            "{name}: {what} run slower than the per-group reference ({:.3}s vs {:.3}s)",
+            span.wall_s,
+            reference.wall_s
+        );
+    }
+    let json = format!(
+        "    {{\"name\": \"{name}\", {fields},\n     \"reference\": {},\n     \"span\": {},\n     \
+         \"span_wall_speedup\": {speedup:.3}, \"span_heap_ratio\": {heap_ratio:.3}, \
+         \"reports_identical\": true, \"threads_invariant\": true{flags}}}",
+        json_engine(reference),
+        json_engine(span),
+    );
+    let gate = GateRow {
+        name: name.to_string(),
+        heap_events_per_token: span.stats.heap_events_per_token(),
+        wall_speedup: speedup,
+    };
+    (json, gate)
+}
+
+fn print_reference_line(name: &str, m: &Measurement) {
+    println!(
+        "{:>28} {:>9} {:>9.3}s {:>10} {:>9.3} {:>11} {:>9.4} {:>11}",
+        name,
+        "reference",
+        m.wall_s,
+        "1.00x",
+        m.stats.heap_events_per_token(),
+        "1.00x",
+        m.allocations_per_token(),
+        m.stats.tokens,
+    );
+}
+
+fn print_span_line(name: &str, m: &Measurement, speedup: f64, heap_ratio: f64) {
+    println!(
+        "{:>28} {:>9} {:>9.3}s {:>9.2}x {:>9.3} {:>10.2}x {:>9.4} {:>11}",
+        name,
+        "span",
+        m.wall_s,
+        speedup,
+        m.stats.heap_events_per_token(),
+        heap_ratio,
+        m.allocations_per_token(),
+        m.stats.tokens,
+    );
+}
+
 /// The fleet smoke shape: a 64-group cluster of the paper's PP/8
 /// deployment under a diurnal chatbot load, routed by seeded power-of-two
 /// choices. The timed pair is (a) the epoch-driven fleet driver —
@@ -290,135 +427,50 @@ fn measure_cluster(smoke: bool) -> (Vec<String>, Vec<GateRow>) {
     let w = Workload::chatbot(rate, 0xCE29);
     let trace = w.generate_modulated(Time::from_secs_f64(horizon_s), 4096, &curve, 7);
     let opts = FleetOptions::new(GROUPS).with_epoch(Time::from_secs_f64(0.25));
-
-    let fleet_run = |threads: usize| {
+    let fleet_run = |opts: &FleetOptions, threads: usize| {
         let mut router = PowerOfTwoChoices::seeded(0xD1CE);
         let opts = opts.clone().with_threads(threads);
-        let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-        let start = Instant::now();
-        let fleet = simulate_fleet_instrumented(&system, &trace, rate, &mut router, &opts);
-        let wall_s = start.elapsed().as_secs_f64();
-        (fleet, wall_s, ALLOCATIONS.load(Ordering::Relaxed) - allocs_before)
+        timed(|| simulate_fleet_instrumented(&system, &trace, rate, &mut router, &opts))
     };
-    let (fleet, span_wall, span_allocs) = fleet_run(1);
-    let (threaded, _, _) = fleet_run(2);
+
+    let (fleet, span_wall, span_allocs) = fleet_run(&opts, 1);
+    let (threaded, _, _) = fleet_run(&opts, 2);
     assert_eq!(
         fleet.report, threaded.report,
         "{name}: fleet report must be bit-identical across worker-thread counts"
     );
-    let mut span_stats = SimStats::default();
-    for o in &fleet.groups {
-        span_stats.heap_pushes += o.stats.heap_pushes;
-        span_stats.heap_pops += o.stats.heap_pops;
-        span_stats.tick_events += o.stats.tick_events;
-        span_stats.tokens += o.stats.tokens;
-        span_stats.admissions += o.stats.admissions;
-    }
-
-    // The reference run: each group's routed sub-trace through the
-    // per-token loop, reports cross-checked group by group.
-    let mut sub: Vec<Vec<RequestSpec>> = vec![Vec::new(); GROUPS];
-    for (spec, &g) in trace.iter().zip(&fleet.routed) {
-        sub[g].push(*spec);
-    }
-    let per_group_qps = rate / GROUPS as f64;
-    let ref_options = ServeOptions::default().with_engine(TickEngine::PerTokenReference);
-    let mut ref_stats = SimStats::default();
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let start = Instant::now();
-    for (g, group_trace) in sub.iter().enumerate() {
-        let (report, stats) =
-            system.serve_trace_instrumented(group_trace, per_group_qps, ref_options.clone());
-        assert_eq!(
-            report, fleet.groups[g].report,
-            "{name}: group {g} fleet run must report identically to the reference loop"
-        );
-        ref_stats.heap_pushes += stats.heap_pushes;
-        ref_stats.heap_pops += stats.heap_pops;
-        ref_stats.tick_events += stats.tick_events;
-        ref_stats.tokens += stats.tokens;
-        ref_stats.admissions += stats.admissions;
-    }
-    let ref_wall = start.elapsed().as_secs_f64();
-    let ref_allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
-
-    let reference = Measurement { wall_s: ref_wall, stats: ref_stats, allocations: ref_allocs };
-    let span = Measurement { wall_s: span_wall, stats: span_stats, allocations: span_allocs };
-    // The fleet run is two orders of magnitude faster than the reference
-    // replay, so its wall clock is a few milliseconds — too short for a
-    // ±20% gate. Clamp the *recorded* speedup at 20x: the gate then
-    // compares saturated values (stable), and any regression big enough to
-    // matter pulls the true ratio under the cap and trips it.
-    let speedup = (reference.wall_s / span.wall_s.max(1e-9)).min(20.0);
-    let heap_ratio =
-        reference.stats.heap_events_per_token() / span.stats.heap_events_per_token().max(1e-9);
-    println!(
-        "{:>28} {:>9} {:>9.3}s {:>10} {:>9.3} {:>11} {:>9.4} {:>11}",
-        name,
-        "reference",
-        reference.wall_s,
-        "1.00x",
-        reference.stats.heap_events_per_token(),
-        "1.00x",
-        reference.allocations_per_token(),
-        reference.stats.tokens,
-    );
-    println!(
-        "{:>28} {:>9} {:>9.3}s {:>9.2}x {:>9.3} {:>10.2}x {:>9.4} {:>11}",
-        "",
-        "span",
-        span.wall_s,
-        speedup,
-        span.stats.heap_events_per_token(),
-        heap_ratio,
-        span.allocations_per_token(),
-        span.stats.tokens,
-    );
-    // The same deterministic heap-traffic floor the single-system shapes
-    // carry: incremental epoch driving must not reintroduce per-token heap
-    // events. Wall-clock only gates in smoke mode (same noise argument).
+    let span = fleet_measurement(&fleet.groups, span_wall, span_allocs);
+    let reference =
+        reference_replay(&system, &trace, &fleet.routed, rate, GROUPS, Some((name, &fleet.groups)));
     let churn = fleet.report.preemptions + fleet.report.swaps > 0;
-    let floor = if churn { 3.0 } else { 5.0 };
-    assert!(
-        heap_ratio >= floor,
-        "{name}: fleet heap-event ratio {heap_ratio:.2} < {floor}x vs the reference loop"
+    let (row, gate) = fleet_row(
+        FleetRow {
+            name,
+            what: "fleet",
+            fields: format!(
+                "\"groups\": {GROUPS}, \"replicas_per_group\": {}, \"slots_per_replica\": {}, \
+                 \"sim_tokens\": {}, \"preemptions\": {}, \"swaps\": {}",
+                system.replicas(),
+                system.slots_per_replica(),
+                reference.stats.tokens,
+                fleet.report.preemptions,
+                fleet.report.swaps,
+            ),
+            flags: "",
+            floor: if churn { 3.0 } else { 5.0 },
+            print_reference: true,
+        },
+        &reference,
+        &span,
+        smoke,
     );
-    if smoke {
-        assert!(
-            span.wall_s <= 1.25 * reference.wall_s,
-            "{name}: fleet run slower than the per-group reference ({:.3}s vs {:.3}s)",
-            span.wall_s,
-            reference.wall_s
-        );
-    }
-    let row = format!(
-        "    {{\"name\": \"{name}\", \"groups\": {GROUPS}, \"replicas_per_group\": {}, \
-         \"slots_per_replica\": {}, \"sim_tokens\": {}, \"preemptions\": {}, \"swaps\": {},\n     \
-         \"reference\": {},\n     \"span\": {},\n     \"span_wall_speedup\": {:.3}, \
-         \"span_heap_ratio\": {:.3}, \"reports_identical\": true, \"threads_invariant\": true}}",
-        system.replicas(),
-        system.slots_per_replica(),
-        reference.stats.tokens,
-        fleet.report.preemptions,
-        fleet.report.swaps,
-        json_engine(&reference),
-        json_engine(&span),
-        speedup,
-        heap_ratio,
-    );
-    let gate = GateRow {
-        name: name.to_string(),
-        engine: "span",
-        heap_events_per_token: span.stats.heap_events_per_token(),
-        wall_speedup: speedup,
-    };
 
     // The crash-recovery shape: the identical fleet and trace under a
     // seeded chaos schedule (default rates: a crash per ~200 group-seconds
     // with ~10 s outages, host-link brownouts, stragglers) with bounded
-    // retries. Same clamp rationale as above — the healthy per-token
-    // replay is the baseline, so a fault-path slowdown large enough to
-    // matter pulls the saturated ratio under the cap and trips the gate.
+    // retries. Retried work means re-admissions, so the churn floor
+    // applies — but crash recovery must not reintroduce per-token heap
+    // traffic either.
     let fname = "cluster-crash-recovery";
     let fault_opts = opts
         .with_faults(FaultPlan::chaos(
@@ -428,17 +480,8 @@ fn measure_cluster(smoke: bool) -> (Vec<String>, Vec<GateRow>) {
             &ChaosRates::default(),
         ))
         .with_retry(RetryPolicy { max_attempts: 4, backoff: Time::from_us(50_000) });
-    let fault_run = |threads: usize| {
-        let mut router = PowerOfTwoChoices::seeded(0xD1CE);
-        let opts = fault_opts.clone().with_threads(threads);
-        let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-        let start = Instant::now();
-        let fleet = simulate_fleet_instrumented(&system, &trace, rate, &mut router, &opts);
-        let wall_s = start.elapsed().as_secs_f64();
-        (fleet, wall_s, ALLOCATIONS.load(Ordering::Relaxed) - allocs_before)
-    };
-    let (faulted, fault_wall, fault_allocs) = fault_run(1);
-    let (threaded, _, _) = fault_run(2);
+    let (faulted, fault_wall, fault_allocs) = fleet_run(&fault_opts, 1);
+    let (threaded, _, _) = fleet_run(&fault_opts, 2);
     assert_eq!(
         faulted.report, threaded.report,
         "{fname}: faulted fleet report must be bit-identical across worker-thread counts"
@@ -451,81 +494,32 @@ fn measure_cluster(smoke: bool) -> (Vec<String>, Vec<GateRow>) {
         trace.len(),
         "{fname}: requests leaked from the conservation invariant"
     );
-    let mut fault_stats = SimStats::default();
-    for o in &faulted.groups {
-        fault_stats.heap_pushes += o.stats.heap_pushes;
-        fault_stats.heap_pops += o.stats.heap_pops;
-        fault_stats.tick_events += o.stats.tick_events;
-        fault_stats.tokens += o.stats.tokens;
-        fault_stats.admissions += o.stats.admissions;
-    }
-    let fault_span =
-        Measurement { wall_s: fault_wall, stats: fault_stats, allocations: fault_allocs };
-    let fault_speedup = (reference.wall_s / fault_span.wall_s.max(1e-9)).min(20.0);
-    let fault_heap_ratio = reference.stats.heap_events_per_token()
-        / fault_span.stats.heap_events_per_token().max(1e-9);
-    println!(
-        "{:>28} {:>9} {:>9.3}s {:>10} {:>9.3} {:>11} {:>9.4} {:>11}",
-        fname,
-        "reference",
-        reference.wall_s,
-        "1.00x",
-        reference.stats.heap_events_per_token(),
-        "1.00x",
-        reference.allocations_per_token(),
-        reference.stats.tokens,
+    let fault_span = fleet_measurement(&faulted.groups, fault_wall, fault_allocs);
+    let (fault_row, fault_gate) = fleet_row(
+        FleetRow {
+            name: fname,
+            what: "faulted fleet",
+            fields: format!(
+                "\"groups\": {GROUPS}, \"replicas_per_group\": {}, \"slots_per_replica\": {}, \
+                 \"sim_tokens\": {}, \"crashes\": {}, \"recoveries\": {}, \"retries\": {}, \
+                 \"drops\": {}, \"availability\": {:.4}",
+                system.replicas(),
+                system.slots_per_replica(),
+                fault_span.stats.tokens,
+                degraded.crashes,
+                degraded.recoveries,
+                degraded.retries,
+                degraded.drops,
+                degraded.availability,
+            ),
+            flags: ", \"conservation\": true",
+            floor: 3.0,
+            print_reference: true,
+        },
+        &reference,
+        &fault_span,
+        smoke,
     );
-    println!(
-        "{:>28} {:>9} {:>9.3}s {:>9.2}x {:>9.3} {:>10.2}x {:>9.4} {:>11}",
-        "",
-        "span",
-        fault_span.wall_s,
-        fault_speedup,
-        fault_span.stats.heap_events_per_token(),
-        fault_heap_ratio,
-        fault_span.allocations_per_token(),
-        fault_span.stats.tokens,
-    );
-    // Retried work means re-admissions, so the churn floor applies — but
-    // crash recovery must not reintroduce per-token heap traffic either.
-    assert!(
-        fault_heap_ratio >= 3.0,
-        "{fname}: faulted fleet heap-event ratio {fault_heap_ratio:.2} < 3x vs the reference loop"
-    );
-    if smoke {
-        assert!(
-            fault_span.wall_s <= 1.25 * reference.wall_s,
-            "{fname}: faulted fleet run slower than the per-group reference ({:.3}s vs {:.3}s)",
-            fault_span.wall_s,
-            reference.wall_s
-        );
-    }
-    let fault_row = format!(
-        "    {{\"name\": \"{fname}\", \"groups\": {GROUPS}, \"replicas_per_group\": {}, \
-         \"slots_per_replica\": {}, \"sim_tokens\": {}, \"crashes\": {}, \"recoveries\": {}, \
-         \"retries\": {}, \"drops\": {}, \"availability\": {:.4},\n     \
-         \"reference\": {},\n     \"span\": {},\n     \"span_wall_speedup\": {:.3}, \
-         \"span_heap_ratio\": {:.3}, \"reports_identical\": true, \"threads_invariant\": true, \
-         \"conservation\": true}}",
-        system.replicas(),
-        system.slots_per_replica(),
-        fault_span.stats.tokens,
-        degraded.crashes,
-        degraded.recoveries,
-        degraded.retries,
-        degraded.drops,
-        degraded.availability,
-        json_engine(&reference),
-        json_engine(&fault_span),
-        fault_speedup,
-        fault_heap_ratio,
-    );
-    let fault_gate = GateRow {
-        name: fname.to_string(),
-        engine: "span",
-        heap_events_per_token: fault_span.stats.heap_events_per_token(),
-        wall_speedup: fault_speedup,
-    };
     (vec![row, fault_row], vec![gate, fault_gate])
 }
 
@@ -570,18 +564,14 @@ fn measure_disagg(smoke: bool) -> (Vec<String>, Vec<GateRow>) {
         system.swap_cost().with_switch_hops(2, &FabricConfig::cent(32)),
     )
     .with_prefill_chunk(512);
-
-    let disagg_run = |threads: usize| {
+    let disagg_run = |opts: &FleetOptions, threads: usize| {
         let mut router = PowerOfTwoChoices::seeded(0xD1CE);
         let opts = opts.clone().with_threads(threads);
-        let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-        let start = Instant::now();
-        let out = simulate_fleet_disagg(&system, &trace, rate, &mut router, &opts, &dcfg);
-        let wall_s = start.elapsed().as_secs_f64();
-        (out, wall_s, ALLOCATIONS.load(Ordering::Relaxed) - allocs_before)
+        timed(|| simulate_fleet_disagg(&system, &trace, rate, &mut router, &opts, &dcfg))
     };
-    let (out, disagg_wall, disagg_allocs) = disagg_run(1);
-    let (threaded, _, _) = disagg_run(2);
+
+    let (out, disagg_wall, disagg_allocs) = disagg_run(&opts, 1);
+    let (threaded, _, _) = disagg_run(&opts, 2);
     assert_eq!(
         out.report, threaded.report,
         "{name}: disaggregated fleet report must be bit-identical across worker-thread counts"
@@ -597,118 +587,50 @@ fn measure_disagg(smoke: bool) -> (Vec<String>, Vec<GateRow>) {
         out.log.pool_peak_tokens,
         out.log.pool_capacity_tokens
     );
-    let mut disagg_stats = SimStats::default();
-    for o in &out.groups {
-        disagg_stats.heap_pushes += o.stats.heap_pushes;
-        disagg_stats.heap_pops += o.stats.heap_pops;
-        disagg_stats.tick_events += o.stats.tick_events;
-        disagg_stats.tokens += o.stats.tokens;
-        disagg_stats.admissions += o.stats.admissions;
-    }
+    let span = fleet_measurement(&out.groups, disagg_wall, disagg_allocs);
 
     // The reference: the colocated driver routes the identical trace, and
     // each group's sub-trace replays through the per-token loop (timed).
     let mut router = PowerOfTwoChoices::seeded(0xD1CE);
     let colocated = simulate_fleet_instrumented(&system, &trace, rate, &mut router, &opts);
-    let mut sub: Vec<Vec<RequestSpec>> = vec![Vec::new(); GROUPS];
-    for (spec, &g) in trace.iter().zip(&colocated.routed) {
-        sub[g].push(*spec);
-    }
-    let per_group_qps = rate / GROUPS as f64;
-    let ref_options = ServeOptions::default().with_engine(TickEngine::PerTokenReference);
-    let mut ref_stats = SimStats::default();
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let start = Instant::now();
-    for group_trace in &sub {
-        let (_, stats) =
-            system.serve_trace_instrumented(group_trace, per_group_qps, ref_options.clone());
-        ref_stats.heap_pushes += stats.heap_pushes;
-        ref_stats.heap_pops += stats.heap_pops;
-        ref_stats.tick_events += stats.tick_events;
-        ref_stats.tokens += stats.tokens;
-        ref_stats.admissions += stats.admissions;
-    }
-    let ref_wall = start.elapsed().as_secs_f64();
-    let ref_allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+    let reference = reference_replay(&system, &trace, &colocated.routed, rate, GROUPS, None);
     assert_eq!(
-        ref_stats.tokens, disagg_stats.tokens,
+        reference.stats.tokens, span.stats.tokens,
         "{name}: the split pipeline must generate exactly the colocated token population"
-    );
-
-    let reference = Measurement { wall_s: ref_wall, stats: ref_stats, allocations: ref_allocs };
-    let span = Measurement { wall_s: disagg_wall, stats: disagg_stats, allocations: disagg_allocs };
-    let speedup = (reference.wall_s / span.wall_s.max(1e-9)).min(20.0);
-    let heap_ratio =
-        reference.stats.heap_events_per_token() / span.stats.heap_events_per_token().max(1e-9);
-    println!(
-        "{:>28} {:>9} {:>9.3}s {:>10} {:>9.3} {:>11} {:>9.4} {:>11}",
-        name,
-        "reference",
-        reference.wall_s,
-        "1.00x",
-        reference.stats.heap_events_per_token(),
-        "1.00x",
-        reference.allocations_per_token(),
-        reference.stats.tokens,
-    );
-    println!(
-        "{:>28} {:>9} {:>9.3}s {:>9.2}x {:>9.3} {:>10.2}x {:>9.4} {:>11}",
-        "",
-        "span",
-        span.wall_s,
-        speedup,
-        span.stats.heap_events_per_token(),
-        heap_ratio,
-        span.allocations_per_token(),
-        span.stats.tokens,
     );
     // Disaggregation admits every request twice (prompt on the prefill
     // tier, remainder on the decode tier), so the heap floor is the churn
     // tier's, not the clean 5x.
-    assert!(
-        heap_ratio >= 3.0,
-        "{name}: disaggregated heap-event ratio {heap_ratio:.2} < 3x vs the reference loop"
+    let (row, gate) = fleet_row(
+        FleetRow {
+            name,
+            what: "disaggregated",
+            fields: format!(
+                "\"groups\": {GROUPS}, \"prefill_groups\": 4, \"decode_groups\": 4, \
+                 \"sim_tokens\": {}, \"handoffs\": {}, \"steals\": {}, \
+                 \"deferred_publishes\": {}, \"pool_peak_tokens\": {}",
+                span.stats.tokens,
+                out.log.handoffs,
+                out.log.steals,
+                out.log.deferred,
+                out.log.pool_peak_tokens,
+            ),
+            flags: ", \"pool_bound_held\": true",
+            floor: 3.0,
+            print_reference: true,
+        },
+        &reference,
+        &span,
+        smoke,
     );
-    if smoke {
-        assert!(
-            span.wall_s <= 1.25 * reference.wall_s,
-            "{name}: disaggregated run slower than the per-group reference ({:.3}s vs {:.3}s)",
-            span.wall_s,
-            reference.wall_s
-        );
-    }
-    let row = format!(
-        "    {{\"name\": \"{name}\", \"groups\": {GROUPS}, \"prefill_groups\": 4, \
-         \"decode_groups\": 4, \"sim_tokens\": {}, \"handoffs\": {}, \"steals\": {}, \
-         \"deferred_publishes\": {}, \"pool_peak_tokens\": {},\n     \
-         \"reference\": {},\n     \"span\": {},\n     \"span_wall_speedup\": {:.3}, \
-         \"span_heap_ratio\": {:.3}, \"reports_identical\": true, \"threads_invariant\": true, \
-         \"pool_bound_held\": true}}",
-        span.stats.tokens,
-        out.log.handoffs,
-        out.log.steals,
-        out.log.deferred,
-        out.log.pool_peak_tokens,
-        json_engine(&reference),
-        json_engine(&span),
-        speedup,
-        heap_ratio,
-    );
-    let gate = GateRow {
-        name: name.to_string(),
-        engine: "span",
-        heap_events_per_token: span.stats.heap_events_per_token(),
-        wall_speedup: speedup,
-    };
 
     // The survivable-disaggregation shape: the identical split fleet and
     // trace under a seeded disagg-aware chaos schedule — decode-tier-
     // weighted crashes (claimed contexts stranded mid-decode), pool-link
     // brownouts stretching every transfer in the window — with warm
     // recovery, bounded retries and an active admission policy. The
-    // healthy colocated replay stays the ratio baseline, so a fault-path
-    // slowdown large enough to matter pulls the saturated speedup under
-    // the 20x clamp and trips the gate.
+    // healthy colocated replay stays the ratio baseline. Crash retries and
+    // rescues re-admit work, so the churn floor applies.
     let fname = "cluster-disagg-chaos";
     let rates = ChaosRates { decode_crash_mult: 1.5, ..ChaosRates::default() };
     let fault_opts = opts
@@ -722,17 +644,8 @@ fn measure_disagg(smoke: bool) -> (Vec<String>, Vec<GateRow>) {
         .with_retry(RetryPolicy { max_attempts: 4, backoff: Time::from_us(50_000) })
         .with_recovery(RecoveryMode::Warm { retained_fraction: 0.5 })
         .with_admission(AdmissionPolicy::shed_above(6.0));
-    let chaos_run = |threads: usize| {
-        let mut router = PowerOfTwoChoices::seeded(0xD1CE);
-        let opts = fault_opts.clone().with_threads(threads);
-        let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-        let start = Instant::now();
-        let out = simulate_fleet_disagg(&system, &trace, rate, &mut router, &opts, &dcfg);
-        let wall_s = start.elapsed().as_secs_f64();
-        (out, wall_s, ALLOCATIONS.load(Ordering::Relaxed) - allocs_before)
-    };
-    let (chaos, chaos_wall, chaos_allocs) = chaos_run(1);
-    let (threaded, _, _) = chaos_run(2);
+    let (chaos, chaos_wall, chaos_allocs) = disagg_run(&fault_opts, 1);
+    let (threaded, _, _) = disagg_run(&fault_opts, 2);
     assert_eq!(
         chaos.report, threaded.report,
         "{fname}: chaotic disagg report must be bit-identical across worker-thread counts"
@@ -752,69 +665,31 @@ fn measure_disagg(smoke: bool) -> (Vec<String>, Vec<GateRow>) {
         degraded.pool_rescued > 0,
         "{fname}: decode-tier crashes must rescue parked pool copies"
     );
-    let mut chaos_stats = SimStats::default();
-    for o in &chaos.groups {
-        chaos_stats.heap_pushes += o.stats.heap_pushes;
-        chaos_stats.heap_pops += o.stats.heap_pops;
-        chaos_stats.tick_events += o.stats.tick_events;
-        chaos_stats.tokens += o.stats.tokens;
-        chaos_stats.admissions += o.stats.admissions;
-    }
-    let chaos_span =
-        Measurement { wall_s: chaos_wall, stats: chaos_stats, allocations: chaos_allocs };
-    let chaos_speedup = (reference.wall_s / chaos_span.wall_s.max(1e-9)).min(20.0);
-    let chaos_heap_ratio = reference.stats.heap_events_per_token()
-        / chaos_span.stats.heap_events_per_token().max(1e-9);
-    println!(
-        "{:>28} {:>9} {:>9.3}s {:>9.2}x {:>9.3} {:>10.2}x {:>9.4} {:>11}",
-        fname,
-        "span",
-        chaos_span.wall_s,
-        chaos_speedup,
-        chaos_span.stats.heap_events_per_token(),
-        chaos_heap_ratio,
-        chaos_span.allocations_per_token(),
-        chaos_span.stats.tokens,
+    let chaos_span = fleet_measurement(&chaos.groups, chaos_wall, chaos_allocs);
+    let (chaos_row, chaos_gate) = fleet_row(
+        FleetRow {
+            name: fname,
+            what: "chaotic disagg",
+            fields: format!(
+                "\"groups\": {GROUPS}, \"prefill_groups\": 4, \"decode_groups\": 4, \
+                 \"sim_tokens\": {}, \"crashes\": {}, \"pool_rescued\": {}, \"pool_lost\": {}, \
+                 \"warm_rejoins\": {}, \"shed\": {}, \"availability\": {:.4}",
+                chaos_span.stats.tokens,
+                degraded.crashes,
+                degraded.pool_rescued,
+                degraded.pool_lost,
+                degraded.warm_rejoins,
+                degraded.shed,
+                degraded.availability,
+            ),
+            flags: ", \"conservation\": true",
+            floor: 3.0,
+            print_reference: false,
+        },
+        &reference,
+        &chaos_span,
+        smoke,
     );
-    // Crash retries and rescues re-admit work, so the churn floor applies;
-    // the fault path must still not reintroduce per-token heap traffic.
-    assert!(
-        chaos_heap_ratio >= 3.0,
-        "{fname}: chaotic disagg heap-event ratio {chaos_heap_ratio:.2} < 3x vs the reference loop"
-    );
-    if smoke {
-        assert!(
-            chaos_span.wall_s <= 1.25 * reference.wall_s,
-            "{fname}: chaotic disagg run slower than the per-group reference ({:.3}s vs {:.3}s)",
-            chaos_span.wall_s,
-            reference.wall_s
-        );
-    }
-    let chaos_row = format!(
-        "    {{\"name\": \"{fname}\", \"groups\": {GROUPS}, \"prefill_groups\": 4, \
-         \"decode_groups\": 4, \"sim_tokens\": {}, \"crashes\": {}, \"pool_rescued\": {}, \
-         \"pool_lost\": {}, \"warm_rejoins\": {}, \"shed\": {}, \"availability\": {:.4},\n     \
-         \"reference\": {},\n     \"span\": {},\n     \"span_wall_speedup\": {:.3}, \
-         \"span_heap_ratio\": {:.3}, \"reports_identical\": true, \"threads_invariant\": true, \
-         \"conservation\": true}}",
-        chaos_span.stats.tokens,
-        degraded.crashes,
-        degraded.pool_rescued,
-        degraded.pool_lost,
-        degraded.warm_rejoins,
-        degraded.shed,
-        degraded.availability,
-        json_engine(&reference),
-        json_engine(&chaos_span),
-        chaos_speedup,
-        chaos_heap_ratio,
-    );
-    let chaos_gate = GateRow {
-        name: fname.to_string(),
-        engine: "span",
-        heap_events_per_token: chaos_span.stats.heap_events_per_token(),
-        wall_speedup: chaos_speedup,
-    };
     (vec![row, chaos_row], vec![gate, chaos_gate])
 }
 
@@ -833,48 +708,38 @@ fn json_engine(m: &Measurement) -> String {
     )
 }
 
-/// Per-`(shape, engine)` numbers the regression gate compares.
+/// Per-shape span-engine numbers the regression gate compares.
 struct GateRow {
     name: String,
-    engine: &'static str,
     heap_events_per_token: f64,
     wall_speedup: f64,
 }
 
-/// Extracts `(shape, engine, heap_events_per_token, wall_speedup)` rows
-/// from a `BENCH_serving_sim*.json` file. The file is machine-written by
-/// this bin (one `"name"` line, one `"<engine>": {...}` line per fast
-/// engine and one flat `"<engine>_wall_speedup"` line per shape, in that
-/// order), so a line scan is exact — the build environment has no serde
-/// to do better.
+/// Extracts `(shape, heap_events_per_token, span_wall_speedup)` rows from
+/// a `BENCH_serving_sim*.json` file. The file is machine-written by this
+/// bin (one `"name"` line, one `"span": {...}` line and one flat
+/// `"span_wall_speedup"` line per shape, in that order), so a line scan is
+/// exact — the build environment has no serde to do better.
 fn parse_baseline(text: &str) -> Vec<GateRow> {
     fn field(line: &str, key: &str) -> Option<f64> {
         let tail = &line[line.find(&format!("\"{key}\": "))? + key.len() + 4..];
         let end = tail.find([',', '}']).unwrap_or(tail.len());
         tail[..end].trim().parse().ok()
     }
-    const GATED: [&str; 2] = ["bucketed", "span"];
     let mut rows = Vec::new();
     let mut name: Option<String> = None;
-    let mut hept: [Option<f64>; 2] = [None; 2];
+    let mut hept: Option<f64> = None;
     for line in text.lines() {
         if let Some(tail) = line.trim().strip_prefix("{\"name\": \"") {
             name = tail.split('"').next().map(str::to_string);
-            hept = [None; 2];
+            hept = None;
         }
-        for (i, engine) in GATED.iter().enumerate() {
-            if line.trim_start().starts_with(&format!("\"{engine}\":")) {
-                hept[i] = field(line, "heap_events_per_token");
-            }
-            if let Some(speedup) = field(line, &format!("{engine}_wall_speedup")) {
-                if let (Some(name), Some(heap_events_per_token)) = (name.clone(), hept[i].take()) {
-                    rows.push(GateRow {
-                        name,
-                        engine,
-                        heap_events_per_token,
-                        wall_speedup: speedup,
-                    });
-                }
+        if line.trim_start().starts_with("\"span\":") {
+            hept = field(line, "heap_events_per_token");
+        }
+        if let Some(speedup) = field(line, "span_wall_speedup") {
+            if let (Some(name), Some(heap_events_per_token)) = (name.clone(), hept.take()) {
+                rows.push(GateRow { name, heap_events_per_token, wall_speedup: speedup });
             }
         }
     }
@@ -884,35 +749,15 @@ fn parse_baseline(text: &str) -> Vec<GateRow> {
 /// Allowed regression on either gated metric.
 const GATE_SLACK: f64 = 1.20;
 
-/// Steady-state allocation ceiling for the fast engines, in heap
-/// allocations per simulated token. The hot paths are allocation-free;
+/// Steady-state allocation ceiling for the span engine, in heap
+/// allocations per simulated token. The hot path is allocation-free;
 /// what remains scales with admissions (records, requeues, report
 /// assembly), two orders of magnitude below one-per-token.
 const ALLOC_CEILING: f64 = 0.05;
 
-fn parse_engines(arg: &str) -> Vec<TickEngine> {
-    if arg == "all" {
-        return vec![TickEngine::PhaseBucketed, TickEngine::SpanFastForward];
-    }
-    let engines: Vec<TickEngine> = arg
-        .split(',')
-        .filter(|s| *s != "reference") // always measured as the baseline
-        .map(|s| match s {
-            "bucketed" => TickEngine::PhaseBucketed,
-            "span" => TickEngine::SpanFastForward,
-            other => panic!("unknown engine {other:?} (expected reference/bucketed/span)"),
-        })
-        .collect();
-    // The reference loop alone measures nothing (every recorded metric is a
-    // ratio against it), and an empty set would write a malformed shape row.
-    assert!(!engines.is_empty(), "--engines must name at least one of bucketed/span");
-    engines
-}
-
 fn main() {
     let mut smoke = false;
     let mut check_against: Option<String> = None;
-    let mut engines = parse_engines("all");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -920,12 +765,7 @@ fn main() {
             "--check-against" => {
                 check_against = Some(args.next().expect("--check-against needs a path"));
             }
-            "--engines" => {
-                engines = parse_engines(&args.next().expect("--engines needs a list or 'all'"));
-            }
-            other => panic!(
-                "unknown argument {other:?} (expected --smoke / --engines / --check-against)"
-            ),
+            other => panic!("unknown argument {other:?} (expected --smoke / --check-against)"),
         }
     }
     let shapes = if smoke { smoke_shapes() } else { full_shapes() };
@@ -942,137 +782,79 @@ fn main() {
     let repeats = if smoke { 5 } else { 2 };
     for shape in &shapes {
         let (reference, ref_report) = measure(shape, TickEngine::PerTokenReference, repeats);
-        println!(
-            "{:>28} {:>9} {:>9.3}s {:>10} {:>9.3} {:>11} {:>9.4} {:>11}",
-            shape.name,
-            "reference",
-            reference.wall_s,
-            "1.00x",
-            reference.stats.heap_events_per_token(),
-            "1.00x",
-            reference.allocations_per_token(),
-            reference.stats.tokens,
+        print_reference_line(shape.name, &reference);
+        let (span, report) = measure(shape, TickEngine::SpanFastForward, repeats);
+        assert_eq!(
+            ref_report, report,
+            "{}: span engine must report identically to the reference before perf means \
+             anything",
+            shape.name
         );
-        let mut flat = Vec::new();
-        let mut engine_rows = vec![format!("\"reference\": {}", json_engine(&reference))];
-        let mut measured = Vec::new();
-        for &engine in &engines {
-            let (m, report) = measure(shape, engine, repeats);
-            assert_eq!(
-                ref_report,
-                report,
-                "{}: {} engine must report identically to the reference before perf means \
-                 anything",
-                shape.name,
-                engine.name()
-            );
-            let speedup = reference.wall_s / m.wall_s.max(1e-9);
-            let heap_ratio =
-                reference.stats.heap_events_per_token() / m.stats.heap_events_per_token().max(1e-9);
-            println!(
-                "{:>28} {:>9} {:>9.3}s {:>9.2}x {:>9.3} {:>10.2}x {:>9.4} {:>11}",
-                "",
-                engine.name(),
-                m.wall_s,
-                speedup,
-                m.stats.heap_events_per_token(),
-                heap_ratio,
-                m.allocations_per_token(),
-                m.stats.tokens,
-            );
-            engine_rows.push(format!("\"{}\": {}", engine.name(), json_engine(&m)));
-            flat.push(format!(
-                "\"{0}_wall_speedup\": {1:.3}, \"{0}_heap_ratio\": {2:.3}",
-                engine.name(),
-                speedup,
-                heap_ratio
-            ));
-            gate_rows.push(GateRow {
-                name: shape.name.to_string(),
-                engine: engine.name(),
-                heap_events_per_token: m.stats.heap_events_per_token(),
-                wall_speedup: speedup,
-            });
-            // The no-alloc-in-steady-state assertion: scratch buffers are
-            // arena'd, so allocations scale with admissions, not tokens.
-            assert!(
-                m.allocations_per_token() < ALLOC_CEILING,
-                "{}: {} engine allocates {:.4}/token (ceiling {ALLOC_CEILING})",
-                shape.name,
-                engine.name(),
-                m.allocations_per_token()
-            );
-            measured.push((engine, m));
-        }
+        let speedup = reference.wall_s / span.wall_s.max(1e-9);
+        let heap_ratio =
+            reference.stats.heap_events_per_token() / span.stats.heap_events_per_token().max(1e-9);
+        print_span_line("", &span, speedup, heap_ratio);
+        gate_rows.push(GateRow {
+            name: shape.name.to_string(),
+            heap_events_per_token: span.stats.heap_events_per_token(),
+            wall_speedup: speedup,
+        });
+        // The no-alloc-in-steady-state assertion: scratch buffers are
+        // arena'd, so allocations scale with admissions, not tokens.
+        assert!(
+            span.allocations_per_token() < ALLOC_CEILING,
+            "{}: span engine allocates {:.4}/token (ceiling {ALLOC_CEILING})",
+            shape.name,
+            span.allocations_per_token()
+        );
         let slots = shape.system.slots_per_replica();
         let churn = ref_report.preemptions + ref_report.swaps > 0;
-        for (engine, m) in &measured {
-            // The heap-event ratio is deterministic: on any shape with >= 8
-            // slots per replica the fast engines must batch at least 5x —
-            // relaxed to 3x under eviction churn, where every resume is a
-            // fresh admission and heap traffic is admission-bound.
-            if slots >= 8 {
-                let heap_ratio = reference.stats.heap_events_per_token()
-                    / m.stats.heap_events_per_token().max(1e-9);
-                let floor = if churn { 3.0 } else { 5.0 };
-                assert!(
-                    heap_ratio >= floor,
-                    "{}: {} heap-event ratio {heap_ratio:.2} < {floor}x on {slots} slots/replica",
-                    shape.name,
-                    engine.name()
-                );
-            }
-            // Wall-clock is noisy in CI; "not slower" with 25% slack in
-            // smoke mode, while the full run reports the real speedup.
-            if smoke {
-                assert!(
-                    m.wall_s <= 1.25 * reference.wall_s,
-                    "{}: {} engine slower than reference ({:.3}s vs {:.3}s)",
-                    shape.name,
-                    engine.name(),
-                    m.wall_s,
-                    reference.wall_s
-                );
-            }
+        // The heap-event ratio is deterministic: on a clean shape with >= 8
+        // slots per replica the span engine must batch at least 5x per
+        // slot (every resident's tokens between decision instants cost no
+        // heap event) — relaxed to 3x under eviction churn, where every
+        // resume is a fresh admission and heap traffic is admission-bound.
+        if slots >= 8 {
+            let floor = if churn { 3.0 } else { 5.0 * slots as f64 };
+            assert!(
+                heap_ratio >= floor,
+                "{}: span heap-event ratio {heap_ratio:.2} < {floor}x on {slots} slots/replica",
+                shape.name
+            );
         }
-        // The span engine's acceptance floors against the *bucketed*
-        // engine on the clean saturated shapes: >= 5x fewer heap events
-        // per token everywhere, and >= 3x wall-clock on the full-mode
-        // saturated chatbot sweep (wall asserts stay out of smoke mode,
-        // where runs are too short to time reliably).
-        let span = measured.iter().find(|(e, _)| *e == TickEngine::SpanFastForward);
-        let bucketed = measured.iter().find(|(e, _)| *e == TickEngine::PhaseBucketed);
-        if let (Some((_, span)), Some((_, bucketed))) = (span, bucketed) {
-            if !churn {
-                let vs_bucketed = bucketed.stats.heap_events_per_token()
-                    / span.stats.heap_events_per_token().max(1e-9);
-                assert!(
-                    vs_bucketed >= 5.0,
-                    "{}: span engine only {vs_bucketed:.2}x fewer heap events/token than bucketed",
-                    shape.name
-                );
-            }
-            if shape.name == "llama2_7b-pp8-chatbot-1.2x" {
-                let vs_bucketed = bucketed.wall_s / span.wall_s.max(1e-9);
-                assert!(
-                    vs_bucketed >= 3.0,
-                    "{}: span engine only {vs_bucketed:.2}x faster than bucketed",
-                    shape.name
-                );
-            }
+        // Wall-clock is noisy in CI; "not slower" with 25% slack in smoke
+        // mode, while the full run must show the real speedup on the
+        // saturated chatbot shape (too short to time reliably in smoke).
+        if smoke {
+            assert!(
+                span.wall_s <= 1.25 * reference.wall_s,
+                "{}: span engine slower than reference ({:.3}s vs {:.3}s)",
+                shape.name,
+                span.wall_s,
+                reference.wall_s
+            );
+        }
+        if shape.name == "llama2_7b-pp8-chatbot-1.2x" {
+            assert!(
+                speedup >= 20.0,
+                "{}: span engine only {speedup:.2}x faster than the reference",
+                shape.name
+            );
         }
         rows.push(format!(
             "    {{\"name\": \"{}\", \"replicas\": {}, \"slots_per_replica\": {}, \
-             \"sim_tokens\": {}, \"preemptions\": {}, \"swaps\": {},\n     {},\n     \
-             {}, \"reports_identical\": true}}",
+             \"sim_tokens\": {}, \"preemptions\": {}, \"swaps\": {},\n     \
+             \"reference\": {},\n     \"span\": {},\n     \
+             \"span_wall_speedup\": {speedup:.3}, \"span_heap_ratio\": {heap_ratio:.3}, \
+             \"reports_identical\": true}}",
             shape.name,
             shape.system.replicas(),
             slots,
             reference.stats.tokens,
             ref_report.preemptions,
             ref_report.swaps,
-            engine_rows.join(",\n     "),
-            flat.join(", "),
+            json_engine(&reference),
+            json_engine(&span),
         ));
     }
 
@@ -1098,10 +880,10 @@ fn main() {
     std::fs::write(&path, json).expect("writing BENCH_serving_sim.json");
     println!("\nwrote {}", path.display());
 
-    // The CI perf-regression gate: every (shape, engine) row in the
-    // committed baseline must still be measured and must not regress by
-    // more than 20% on either heap events per token or the
-    // reference→engine wall-clock speedup.
+    // The CI perf-regression gate: every shape in the committed baseline
+    // must still be measured and its span row must not regress by more
+    // than 20% on either heap events per token or the reference→span
+    // wall-clock speedup.
     if let Some(baseline_path) = check_against {
         let text = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("reading baseline {baseline_path}: {e}"));
@@ -1110,17 +892,15 @@ fn main() {
         println!("checking against {baseline_path} (\u{2264}{GATE_SLACK}x regression allowed):");
         let mut failures = Vec::new();
         for b in &baseline {
-            let Some(now) = gate_rows.iter().find(|g| g.name == b.name && g.engine == b.engine)
-            else {
-                failures
-                    .push(format!("shape {:?} engine {} missing from this run", b.name, b.engine));
+            let Some(now) = gate_rows.iter().find(|g| g.name == b.name) else {
+                failures.push(format!("shape {:?} engine span missing from this run", b.name));
                 continue;
             };
             println!(
                 "  {:>28}/{:>8}: heap/tok {:.4} (baseline {:.4}) | speedup {:.3}x (baseline \
                  {:.3}x)",
                 b.name,
-                b.engine,
+                "span",
                 now.heap_events_per_token,
                 b.heap_events_per_token,
                 now.wall_speedup,
@@ -1131,10 +911,9 @@ fn main() {
             // enough to judge how far over the line the run landed.
             if now.heap_events_per_token > GATE_SLACK * b.heap_events_per_token {
                 failures.push(format!(
-                    "{}/{}: heap events/token regressed: measured {:.4}, baseline {:.4}, \
+                    "{}/span: heap events/token regressed: measured {:.4}, baseline {:.4}, \
                      allowed at most {:.4} (baseline x {GATE_SLACK})",
                     b.name,
-                    b.engine,
                     now.heap_events_per_token,
                     b.heap_events_per_token,
                     GATE_SLACK * b.heap_events_per_token,
@@ -1142,10 +921,9 @@ fn main() {
             }
             if now.wall_speedup < b.wall_speedup / GATE_SLACK {
                 failures.push(format!(
-                    "{}/{}: wall-clock speedup regressed: measured {:.3}x, baseline {:.3}x, \
+                    "{}/span: wall-clock speedup regressed: measured {:.3}x, baseline {:.3}x, \
                      allowed at least {:.3}x (baseline / {GATE_SLACK})",
                     b.name,
-                    b.engine,
                     now.wall_speedup,
                     b.wall_speedup,
                     b.wall_speedup / GATE_SLACK,

@@ -32,15 +32,13 @@
 //! * [`ServingSystem`] — the discrete-event loop, costed by the
 //!   steady-state block simulation (token cadence, prefill rate,
 //!   slot/replica structure), configured per run via [`ServeOptions`].
-//!   Three interchangeable event cores ([`TickEngine`]): the default
+//!   Two interchangeable event cores ([`TickEngine`]): the default
 //!   *span-fast-forward* engine jumps the clock between external events in
 //!   closed form, emitting whole deterministic decode spans in one batch
 //!   (heap traffic scales with external events alone) — it also backs the
 //!   resumable [`GroupSim`] form the cluster simulator drives epoch by
-//!   epoch; the *phase-bucketed* engine advances every due resident of a
-//!   replica in one tick event (heap traffic scales with admissions, not
-//!   generated tokens); and the retained *per-token reference* loop, kept
-//!   for differential testing and the `sim_perf` bench
+//!   epoch; and the retained *per-token reference* loop, kept as the
+//!   differential oracle and the `sim_perf` baseline
 //!   ([`ServingSystem::serve_trace_instrumented`] exposes [`SimStats`]);
 //! * [`ServingReport`] — TTFT, per-token time-between-tokens and
 //!   query-latency distributions (p50/p95/p99), tokens/s against the

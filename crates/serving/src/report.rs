@@ -213,13 +213,15 @@ pub struct ServingReport {
     /// as outlier gaps — streamed through a [`TimeHistogram`] so
     /// long-horizon runs stay constant-memory.
     pub tbt: LatencyStats,
-    /// Time-weighted fraction of decode slots occupied.
+    /// Time-weighted fraction of decode slots occupied. Like the other two
+    /// utilizations, it is averaged over the window from time zero to the
+    /// run's latest arrival, token or crash instant.
     pub slot_utilization: f64,
     /// Peak per-replica KV reservation as a fraction of the budget.
     pub peak_kv_fraction: f64,
     /// Time-weighted mean KV reservation as a fraction of the total budget
     /// (peak tells you the worst instant; this tells you how well the pool
-    /// is actually used).
+    /// is actually used), over the same window as `slot_utilization`.
     pub kv_utilization: f64,
     /// Largest queue depth observed.
     pub peak_queue_depth: usize,
@@ -241,7 +243,8 @@ pub struct ServingReport {
     /// Largest host-pool occupancy observed, in KV tokens.
     pub host_kv_peak_tokens: u64,
     /// Time-weighted mean host-pool occupancy as a fraction of capacity
-    /// (zero when the swap tier is disabled).
+    /// (zero when the swap tier is disabled), over the same window as
+    /// `slot_utilization`.
     pub host_kv_utilization: f64,
     /// Per-class SLO metrics, sorted by class (one entry per class that
     /// submitted at least one request).

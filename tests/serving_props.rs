@@ -12,17 +12,18 @@
 //!    recomputed or swapped — completes exactly once;
 //! 3. full-reservation mode reproduces a closed-form reference
 //!    bit-for-bit on the same seed;
-//! 4. all three event engines — the phase-bucketed tick engine, the
-//!    retained straight-line per-token loop and the span-fast-forward
-//!    engine — produce bit-identical reports across seeds × KV modes ×
-//!    scheduling policies × spill modes × class mixes;
+//! 4. both event engines — the retained straight-line per-token loop and
+//!    the span-fast-forward engine — produce bit-identical reports across
+//!    seeds × KV modes × scheduling policies × spill modes × class mixes
+//!    (the randomized net in `serving_engine_equivalence.rs` covers more
+//!    shapes);
 //! 5. the CXL host pool never exceeds its capacity, device+host accounting
 //!    conserves each resident's footprint, `RecomputeOnly` reproduces the
 //!    pre-swap reports bit-for-bit, and `CostDriven` dominates the worse
 //!    pure mode on the saturated chatbot mix;
 //! 6. the span engine pays strictly fewer heap events per generated token
-//!    than the bucketed engine on the saturated chatbot mix, and repeated
-//!    runs are deterministic down to the event-core counters.
+//!    than the per-token reference on the saturated chatbot mix, and
+//!    repeated runs are deterministic down to the event-core counters.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -227,9 +228,9 @@ fn full_reservation_matches_closed_form_reference_bit_for_bit() {
     for seed in [1u64, 7, 42, 0xCE27, 9001] {
         let w = workload(seed, 12.0);
         let trace = w.generate(Time::from_secs_f64(10.0), 4096);
-        // Default (phase-bucketed) engine vs the closed form; the per-token
-        // loop is held to the same closed form via the engine-equivalence
-        // matrix below.
+        // Default (span) engine vs the closed form; the per-token loop is
+        // held to the same closed form via the engine-equivalence matrix
+        // below.
         let report = sys.serve_trace(&trace, 12.0);
         let reference = reference_full_reservation(c, &trace);
 
@@ -276,9 +277,8 @@ fn full_reservation_matches_closed_form_reference_bit_for_bit() {
 }
 
 /// The differential property behind the tick-engine refactors: the
-/// phase-bucketed engine, the retained straight-line per-token loop and
-/// the span-fast-forward engine must all produce **bit-identical**
-/// `ServingReport`s on the same trace, for every KV mode and scheduling
+/// retained straight-line per-token loop and the span-fast-forward engine
+/// must produce **bit-identical** `ServingReport`s on the same trace, for every KV mode and scheduling
 /// policy, including preemption-heavy operating points (the 160/170-token
 /// budgets force constant eviction and recompute under token-granular
 /// accounting).
@@ -303,21 +303,22 @@ fn engines_match_bit_for_bit_across_kv_modes_and_policies() {
             for kv in [KvMode::FullReservation, KvMode::token_granular()] {
                 for (name, make) in policies {
                     let options = ServeOptions { kv, ..make(slo) };
-                    let bucketed = sys.serve_trace_with(
+                    let reference = sys.serve_trace_with(
                         &trace,
                         rate,
-                        options.clone().with_engine(TickEngine::PhaseBucketed),
+                        options.clone().with_engine(TickEngine::PerTokenReference),
                     );
-                    for engine in [TickEngine::PerTokenReference, TickEngine::SpanFastForward] {
-                        let other =
-                            sys.serve_trace_with(&trace, rate, options.clone().with_engine(engine));
-                        assert_eq!(
-                            bucketed, other,
-                            "{engine:?} diverged: seed {seed}, budget {budget}, {kv:?}, {name}"
-                        );
-                    }
-                    assert_eq!(bucketed.completed, bucketed.submitted - bucketed.rejected);
-                    preemptions_seen += bucketed.preemptions;
+                    let span = sys.serve_trace_with(
+                        &trace,
+                        rate,
+                        options.clone().with_engine(TickEngine::SpanFastForward),
+                    );
+                    assert_eq!(
+                        reference, span,
+                        "span diverged: seed {seed}, budget {budget}, {kv:?}, {name}"
+                    );
+                    assert_eq!(reference.completed, reference.submitted - reference.rejected);
+                    preemptions_seen += reference.preemptions;
                 }
             }
         }
@@ -327,7 +328,7 @@ fn engines_match_bit_for_bit_across_kv_modes_and_policies() {
 }
 
 /// The tentpole differential: across seeds × spill modes × class mixes
-/// (with preemption-tight budgets), all three engines stay bit-identical —
+/// (with preemption-tight budgets), both engines stay bit-identical —
 /// including swap counters, stall totals, host-pool stats and the
 /// per-class breakdowns.
 #[test]
@@ -346,26 +347,27 @@ fn engines_agree_bit_for_bit_across_spill_modes_and_classes() {
                     let spill =
                         KvSpillConfig { mode, host_pool_tokens: 1500, swap_cost: cheap_swap() };
                     let options = ServeOptions::token_granular().with_spill(spill);
-                    let bucketed = sys.serve_trace_with(
+                    let reference = sys.serve_trace_with(
                         &trace,
                         rate,
-                        options.clone().with_engine(TickEngine::PhaseBucketed),
+                        options.clone().with_engine(TickEngine::PerTokenReference),
                     );
-                    for engine in [TickEngine::PerTokenReference, TickEngine::SpanFastForward] {
-                        let other =
-                            sys.serve_trace_with(&trace, rate, options.clone().with_engine(engine));
-                        assert_eq!(
-                            bucketed, other,
-                            "{engine:?} diverged: seed {seed}, budget {budget}, {mode:?}, {mix:?}"
-                        );
-                    }
-                    assert_eq!(bucketed.completed, bucketed.submitted - bucketed.rejected);
-                    assert!(bucketed.host_kv_peak_tokens <= 1500, "host pool overcommitted");
+                    let span = sys.serve_trace_with(
+                        &trace,
+                        rate,
+                        options.clone().with_engine(TickEngine::SpanFastForward),
+                    );
+                    assert_eq!(
+                        reference, span,
+                        "span diverged: seed {seed}, budget {budget}, {mode:?}, {mix:?}"
+                    );
+                    assert_eq!(reference.completed, reference.submitted - reference.rejected);
+                    assert!(reference.host_kv_peak_tokens <= 1500, "host pool overcommitted");
                     if mode == KvSpillMode::RecomputeOnly {
-                        assert_eq!(bucketed.swaps, 0);
+                        assert_eq!(reference.swaps, 0);
                     }
-                    swaps_seen += bucketed.swaps;
-                    recomputes_seen += bucketed.preemptions;
+                    swaps_seen += reference.swaps;
+                    recomputes_seen += reference.preemptions;
                 }
             }
         }
@@ -497,12 +499,12 @@ fn cost_driven_dominates_the_worse_pure_mode_on_chatbot() {
 
 /// The span engine's perf property on the acceptance shape: on the
 /// saturated 512/3584 chatbot mix it must pay strictly fewer heap events
-/// per generated token than the bucketed engine — under both KV modes,
-/// with and without preemption churn — while reporting bit-identically,
-/// and repeated runs must be deterministic down to the event-core
-/// counters.
+/// per generated token than the per-token reference — under both KV
+/// modes, with and without preemption churn — while reporting
+/// bit-identically, and repeated runs must be deterministic down to the
+/// event-core counters.
 #[test]
-fn span_engine_beats_bucketed_heap_traffic_on_saturated_chatbot() {
+fn span_engine_beats_reference_heap_traffic_on_saturated_chatbot() {
     let c = Constants {
         replicas: 1,
         slots: 6,
@@ -515,24 +517,24 @@ fn span_engine_beats_bucketed_heap_traffic_on_saturated_chatbot() {
     let w = Workload::chatbot(2.0, 0xCE27);
     let trace = w.generate(Time::from_secs_f64(400.0), 4096);
     for options in [ServeOptions::default(), ServeOptions::token_granular()] {
-        let (bkt_report, bkt) = sys.serve_trace_instrumented(
+        let (ref_report, reference) = sys.serve_trace_instrumented(
             &trace,
             2.0,
-            options.clone().with_engine(TickEngine::PhaseBucketed),
+            options.clone().with_engine(TickEngine::PerTokenReference),
         );
         let (span_report, span) = sys.serve_trace_instrumented(
             &trace,
             2.0,
             options.clone().with_engine(TickEngine::SpanFastForward),
         );
-        assert_eq!(bkt_report, span_report);
-        assert_eq!(span.tokens, bkt.tokens);
+        assert_eq!(ref_report, span_report);
+        assert_eq!(span.tokens, reference.tokens);
         assert!(span.tokens > 0);
         assert!(
-            span.heap_events_per_token() < bkt.heap_events_per_token(),
-            "span {:.4} must beat bucketed {:.4} heap events/token",
+            span.heap_events_per_token() < reference.heap_events_per_token(),
+            "span {:.4} must beat reference {:.4} heap events/token",
             span.heap_events_per_token(),
-            bkt.heap_events_per_token()
+            reference.heap_events_per_token()
         );
         // Determinism: a repeated run reproduces the report AND the
         // event-core counters exactly.
