@@ -145,7 +145,8 @@ fn draw_case(index: usize) -> Case {
     Case { system, options, trace, qps, epoch, budget, pool }
 }
 
-/// The span engine's batch run, as a full outcome.
+/// The span engine's batch run (what `serve_trace_with` runs), as a full
+/// outcome.
 fn batch(case: &Case) -> GroupOutcome {
     let mut sim = GroupSim::new(&case.system, case.options.clone());
     for spec in &case.trace {
@@ -216,17 +217,9 @@ fn serving_engines_match_each_other_and_their_committed_digests() {
             case.qps,
             case.options.clone().with_engine(TickEngine::PerTokenReference),
         );
-        let span = case.system.serve_trace_with(
-            &case.trace,
-            case.qps,
-            case.options.clone().with_engine(TickEngine::SpanFastForward),
-        );
-        if reference != span {
-            failures.push(format!("case {index}: reference and span reports differ"));
-        }
         let whole = batch(&case);
-        if whole.report != span {
-            failures.push(format!("case {index}: GroupSim batch run differs from serve_trace"));
+        if reference != whole.report {
+            failures.push(format!("case {index}: reference and span reports differ"));
         }
         if format!("{whole:?}") != format!("{:?}", incremental(&case)) {
             failures
@@ -236,7 +229,7 @@ fn serving_engines_match_each_other_and_their_committed_digests() {
             failures.push(e);
         }
         let r = &whole.report;
-        let chunked = case.options.clone().prefill_chunk.is_some();
+        let chunked = case.options.prefill_chunk.is_some();
         let fired = [
             r.preemptions > 0,
             r.swaps > 0,
