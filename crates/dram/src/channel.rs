@@ -1,10 +1,14 @@
 //! Command-level timing model of one GDDR6-PIM channel.
 //!
 //! The model follows the Ramulator2 approach the paper uses: every command is
-//! checked against per-bank and channel-level timing constraints and issued
-//! at the earliest legal time. PIM command streams are in-order (the PIM
-//! controller converts micro-ops to DRAM commands sequentially, §4.2), so a
-//! simple "earliest legal issue" scheduler is exact for CENT traces.
+//! checked against the row-session and channel-level timing constraints and
+//! issued at the earliest legal time. PIM command streams are in-order (the
+//! PIM controller converts micro-ops to DRAM commands sequentially, §4.2), so
+//! a simple "earliest legal issue" scheduler is exact for CENT traces.
+//!
+//! The PIM controller opens and closes rows only with the all-bank `ACTab`
+//! and `PREab` (§4.2), so the 16 banks always hold the same row session and
+//! one copy of it times the whole channel.
 
 use cent_types::consts::{self, timing};
 use cent_types::{BankGroupId, CentError, CentResult, RowAddr, Time};
@@ -35,8 +39,6 @@ pub struct TimingParams {
     pub t_wr: Time,
     /// Write CAS latency.
     pub t_cwl: Time,
-    /// ACT to ACT spacing across banks.
-    pub t_rrds: Time,
     /// All-bank refresh duration.
     pub t_rfc: Time,
     /// Average refresh interval.
@@ -56,29 +58,13 @@ impl Default for TimingParams {
             t_rtp: Time::from_ns(12),
             t_wr: timing::T_WR,
             t_cwl: timing::T_CWL,
-            t_rrds: timing::T_RRDS,
             t_rfc: timing::T_RFC,
             t_refi: timing::T_REFI,
         }
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct BankState {
-    open_row: Option<RowAddr>,
-    /// Issue time of the ACT that opened the current row.
-    act_at: Time,
-    /// Issue time of the most recent PRE.
-    pre_at: Time,
-    /// Issue time of the most recent column read (RD or MAC beat).
-    last_rd: Time,
-    /// Issue time of the most recent column write.
-    last_wr: Time,
-    ever_activated: bool,
-    ever_precharged: bool,
-}
-
-/// Timing state of one GDDR6-PIM channel (16 banks).
+/// Timing state of one GDDR6-PIM channel (16 banks in lockstep).
 ///
 /// # Examples
 ///
@@ -95,13 +81,23 @@ struct BankState {
 #[derive(Debug, Clone)]
 pub struct PimChannelTiming {
     params: TimingParams,
-    banks: [BankState; consts::BANKS_PER_CHANNEL],
+    /// The row open in every bank, if any.
+    open_row: Option<RowAddr>,
+    /// Issue time of the `ACTab` that opened the current row.
+    act_at: Time,
+    /// Issue time of the latest `PREab` that closed a row, or the end of the
+    /// latest refresh less tRP; `None` before either.
+    pre_at: Option<Time>,
+    /// Issue time of the latest column read (RD or MAC beat) in any bank
+    /// since the `ACTab`. Issue times never decrease, so this is the
+    /// maximum over the banks that the `PREab` bound needs.
+    last_rd: Time,
+    /// Issue time of the latest column write in any bank since the `ACTab`.
+    last_wr: Time,
     /// Issue time of the most recent column command, any bank.
     last_col: Time,
     /// Bank group of the most recent column command (None for all-bank).
     last_col_group: Option<BankGroupId>,
-    /// Issue time of the most recent ACT, any bank.
-    last_act_any: Time,
     /// Command-bus time: next command cannot issue before this.
     now: Time,
     /// End of the latest data burst (trace completion time).
@@ -110,7 +106,6 @@ pub struct PimChannelTiming {
     refresh_enabled: bool,
     stats: ActivityCounters,
     has_issued_col: bool,
-    has_issued_act: bool,
 }
 
 impl Default for PimChannelTiming {
@@ -131,17 +126,19 @@ impl PimChannelTiming {
     pub fn with_params(params: TimingParams) -> Self {
         PimChannelTiming {
             params,
-            banks: [BankState::default(); consts::BANKS_PER_CHANNEL],
+            open_row: None,
+            act_at: Time::ZERO,
+            pre_at: None,
+            last_rd: Time::ZERO,
+            last_wr: Time::ZERO,
             last_col: Time::ZERO,
             last_col_group: None,
-            last_act_any: Time::ZERO,
             now: Time::ZERO,
             busy_until: Time::ZERO,
             next_refresh: params.t_refi,
             refresh_enabled: false,
             stats: ActivityCounters::default(),
             has_issued_col: false,
-            has_issued_act: false,
         }
     }
 
@@ -181,115 +178,75 @@ impl PimChannelTiming {
     /// # Errors
     ///
     /// Returns [`CentError::ProtocolViolation`] if the command is illegal in
-    /// the current state regardless of timing (e.g. activating an open bank).
+    /// the current state regardless of timing (e.g. activating an open row,
+    /// or a column command with no row open).
     pub fn earliest_issue(&self, cmd: DramCommand) -> CentResult<Time> {
         let p = &self.params;
-        let mut t = self.now;
-        match cmd {
-            DramCommand::Act { bank, row: _ } => {
-                let b = &self.banks[bank.index()];
-                if b.open_row.is_some() {
+        let t = match cmd {
+            DramCommand::ActAb { .. } | DramCommand::RefAb => {
+                if self.open_row.is_some() {
                     return Err(CentError::ProtocolViolation(format!(
-                        "ACT on {bank} with open row"
+                        "{} with an open row",
+                        cmd.mnemonic()
                     )));
                 }
-                if b.ever_precharged {
-                    t = t.max(b.pre_at + p.t_rp);
-                }
-                if self.has_issued_act {
-                    t = t.max(self.last_act_any + p.t_rrds);
-                }
-            }
-            DramCommand::ActAb { .. } => {
-                for (i, b) in self.banks.iter().enumerate() {
-                    if b.open_row.is_some() {
-                        return Err(CentError::ProtocolViolation(format!(
-                            "ACTab with open row in bank {i}"
-                        )));
-                    }
-                    if b.ever_precharged {
-                        t = t.max(b.pre_at + p.t_rp);
-                    }
-                }
+                self.pre_at.map_or(Time::ZERO, |pre| pre + p.t_rp)
             }
             DramCommand::Rd { bank, .. } => {
-                let b = &self.banks[bank.index()];
-                if b.open_row.is_none() {
-                    return Err(CentError::ProtocolViolation(format!("RD on closed {bank}")));
-                }
-                t = t.max(b.act_at + p.t_rcdrd);
-                t = t.max(self.col_ready(Some(bank.bank_group())));
+                self.col_ready(cmd, p.t_rcdrd, Some(bank.bank_group()))?
             }
             DramCommand::Wr { bank, .. } => {
-                let b = &self.banks[bank.index()];
-                if b.open_row.is_none() {
-                    return Err(CentError::ProtocolViolation(format!("WR on closed {bank}")));
-                }
-                t = t.max(b.act_at + p.t_rcdwr);
-                t = t.max(self.col_ready(Some(bank.bank_group())));
+                self.col_ready(cmd, p.t_rcdwr, Some(bank.bank_group()))?
             }
+            // All-bank beats are paced at tCCD_S (the PU clock, §4.2).
             DramCommand::MacAb { .. } | DramCommand::EwMulAb { .. } => {
-                for (i, b) in self.banks.iter().enumerate() {
-                    if b.open_row.is_none() {
-                        return Err(CentError::ProtocolViolation(format!(
-                            "all-bank column op with closed bank {i}"
-                        )));
-                    }
-                    t = t.max(b.act_at + p.t_rcdrd);
-                }
-                // All-bank beats are paced at tCCD_S (the PU clock, §4.2).
-                t = t.max(self.col_ready(None));
+                self.col_ready(cmd, p.t_rcdrd, None)?
             }
-            DramCommand::Pre { bank } => {
-                let b = &self.banks[bank.index()];
-                if b.open_row.is_none() {
-                    return Err(CentError::ProtocolViolation(format!("PRE on closed {bank}")));
-                }
-                t = t.max(self.pre_ready(b));
-            }
-            DramCommand::PreAb => {
-                for b in &self.banks {
-                    if b.open_row.is_some() {
-                        t = t.max(self.pre_ready(b));
-                    }
-                }
-            }
-            DramCommand::RefAb => {
-                for (i, b) in self.banks.iter().enumerate() {
-                    if b.open_row.is_some() {
-                        return Err(CentError::ProtocolViolation(format!(
-                            "REFab with open row in bank {i}"
-                        )));
-                    }
-                    if b.ever_precharged {
-                        t = t.max(b.pre_at + p.t_rp);
-                    }
-                }
-            }
-        }
-        Ok(t)
+            DramCommand::PreAb if self.open_row.is_some() => self.pre_ready(),
+            DramCommand::PreAb => Time::ZERO,
+        };
+        Ok(self.now.max(t))
     }
 
-    fn col_ready(&self, group: Option<BankGroupId>) -> Time {
+    /// Earliest issue of column command `cmd` to bank group `group` (None
+    /// for all-bank): `t_rcd` after the `ACTab`, and the column spacing
+    /// after the previous column command.
+    fn col_ready(
+        &self,
+        cmd: DramCommand,
+        t_rcd: Time,
+        group: Option<BankGroupId>,
+    ) -> CentResult<Time> {
+        if self.open_row.is_none() {
+            return Err(CentError::ProtocolViolation(format!(
+                "{} with no row open",
+                cmd.mnemonic()
+            )));
+        }
+        let t = self.act_at + t_rcd;
         if !self.has_issued_col {
-            return Time::ZERO;
+            return Ok(t);
         }
         let spacing = match (group, self.last_col_group) {
             // Same bank group back-to-back pays the long tCCD_L.
             (Some(g), Some(prev)) if g == prev => self.params.t_ccdl,
             _ => self.params.t_ccds,
         };
-        self.last_col + spacing
+        Ok(t.max(self.last_col + spacing))
     }
 
-    fn pre_ready(&self, b: &BankState) -> Time {
+    /// Earliest `PREab` of the open row: tRAS after the `ACTab`, tRTP after
+    /// the last read and write recovery after the last write.
+    fn pre_ready(&self) -> Time {
         let p = &self.params;
-        let mut t = b.act_at + p.t_ras;
-        if b.last_rd > Time::ZERO || (b.open_row.is_some() && b.last_rd == b.act_at) {
-            t = t.max(b.last_rd + p.t_rtp);
+        let mut t = self.act_at + p.t_ras;
+        // An `ACTab` at t = 0 leaves `last_rd == act_at`, which counts as a
+        // read at the activate.
+        if self.last_rd > Time::ZERO || self.last_rd == self.act_at {
+            t = t.max(self.last_rd + p.t_rtp);
         }
-        if b.last_wr > Time::ZERO {
-            t = t.max(b.last_wr + p.t_cwl + p.t_wr);
+        if self.last_wr > Time::ZERO {
+            t = t.max(self.last_wr + p.t_cwl + p.t_wr);
         }
         t
     }
@@ -308,7 +265,7 @@ impl PimChannelTiming {
     pub fn issue(&mut self, cmd: DramCommand) -> CentResult<Time> {
         if self.refresh_enabled
             && self.now >= self.next_refresh
-            && self.banks.iter().all(|b| b.open_row.is_none())
+            && self.open_row.is_none()
             && !matches!(cmd, DramCommand::RefAb)
         {
             self.apply(DramCommand::RefAb)?;
@@ -370,87 +327,52 @@ impl PimChannelTiming {
     /// back-to-back beats ending at `t`; every other command passes 1.
     fn commit(&mut self, cmd: DramCommand, t: Time, beats: u64) {
         let p = self.params;
+        let banks = consts::BANKS_PER_CHANNEL as u64;
         match cmd {
-            DramCommand::Act { bank, row } => {
-                let b = &mut self.banks[bank.index()];
-                b.open_row = Some(row);
-                b.act_at = t;
-                b.last_rd = Time::ZERO;
-                b.last_wr = Time::ZERO;
-                b.ever_activated = true;
-                self.last_act_any = t;
-                self.has_issued_act = true;
-                self.stats.acts += 1;
-            }
             DramCommand::ActAb { row } => {
-                for b in &mut self.banks {
-                    b.open_row = Some(row);
-                    b.act_at = t;
-                    b.last_rd = Time::ZERO;
-                    b.last_wr = Time::ZERO;
-                    b.ever_activated = true;
-                }
-                self.last_act_any = t;
-                self.has_issued_act = true;
-                self.stats.acts += consts::BANKS_PER_CHANNEL as u64;
+                self.open_row = Some(row);
+                self.act_at = t;
+                self.last_rd = Time::ZERO;
+                self.last_wr = Time::ZERO;
+                self.stats.acts += banks;
             }
             DramCommand::Rd { bank, .. } => {
-                self.banks[bank.index()].last_rd = t;
+                self.last_rd = t;
                 self.note_col(t, Some(bank.bank_group()));
                 self.busy_until = self.busy_until.max(t + p.t_cl + p.t_ccds);
                 self.stats.reads += beats;
             }
             DramCommand::Wr { bank, .. } => {
-                self.banks[bank.index()].last_wr = t;
+                self.last_wr = t;
                 self.note_col(t, Some(bank.bank_group()));
                 self.busy_until = self.busy_until.max(t + p.t_cwl + p.t_ccds);
                 self.stats.writes += beats;
             }
             DramCommand::MacAb { .. } => {
-                for b in &mut self.banks {
-                    b.last_rd = t;
-                }
+                self.last_rd = t;
                 self.note_col(t, None);
                 // The PU consumes data tCL after issue and computes in one
                 // PU cycle.
                 self.busy_until = self.busy_until.max(t + p.t_cl + p.t_ccds);
-                self.stats.mac_beats += beats * consts::BANKS_PER_CHANNEL as u64;
+                self.stats.mac_beats += beats * banks;
             }
             DramCommand::EwMulAb { .. } => {
-                for b in &mut self.banks {
-                    b.last_rd = t;
-                    b.last_wr = t;
-                }
+                self.last_rd = t;
+                self.last_wr = t;
                 self.note_col(t, None);
                 self.busy_until = self.busy_until.max(t + p.t_cl + p.t_cwl + p.t_ccds);
                 // One EWMUL beat reads from 2 banks and writes 1 per bank
                 // group, i.e. 4 per-bank-group events; counted once per group.
                 self.stats.ewmul_beats += beats * consts::BANK_GROUPS_PER_CHANNEL as u64;
             }
-            DramCommand::Pre { bank } => {
-                let b = &mut self.banks[bank.index()];
-                b.open_row = None;
-                b.pre_at = t;
-                b.ever_precharged = true;
-                self.stats.pres += 1;
-            }
             DramCommand::PreAb => {
-                let mut closed = 0;
-                for b in &mut self.banks {
-                    if b.open_row.is_some() {
-                        b.open_row = None;
-                        b.pre_at = t;
-                        b.ever_precharged = true;
-                        closed += 1;
-                    }
+                if self.open_row.take().is_some() {
+                    self.pre_at = Some(t);
+                    self.stats.pres += banks;
                 }
-                self.stats.pres += closed;
             }
             DramCommand::RefAb => {
-                for b in &mut self.banks {
-                    b.pre_at = t + p.t_rfc - p.t_rp;
-                    b.ever_precharged = true;
-                }
+                self.pre_at = Some(t + p.t_rfc - p.t_rp);
                 self.next_refresh = t + p.t_refi;
                 self.stats.refreshes += 1;
                 self.now = self.now.max(t + p.t_rfc);
@@ -498,7 +420,7 @@ mod tests {
     #[test]
     fn act_to_read_respects_trcdrd() {
         let mut ch = PimChannelTiming::new();
-        let t_act = ch.issue(DramCommand::Act { bank: BankId(0), row: RowAddr(5) }).unwrap();
+        let t_act = ch.issue(DramCommand::ActAb { row: RowAddr(5) }).unwrap();
         let t_rd = ch.issue(DramCommand::Rd { bank: BankId(0), col: ColAddr(0) }).unwrap();
         assert_eq!(ns(t_rd - t_act), 18.0);
     }
@@ -506,7 +428,7 @@ mod tests {
     #[test]
     fn act_to_write_respects_trcdwr() {
         let mut ch = PimChannelTiming::new();
-        let t_act = ch.issue(DramCommand::Act { bank: BankId(1), row: RowAddr(0) }).unwrap();
+        let t_act = ch.issue(DramCommand::ActAb { row: RowAddr(0) }).unwrap();
         let t_wr = ch.issue(DramCommand::Wr { bank: BankId(1), col: ColAddr(3) }).unwrap();
         assert_eq!(ns(t_wr - t_act), 14.0);
     }
@@ -525,10 +447,8 @@ mod tests {
     #[test]
     fn same_bank_group_reads_pay_tccdl() {
         let mut ch = PimChannelTiming::new();
-        ch.issue(DramCommand::Act { bank: BankId(0), row: RowAddr(0) }).unwrap();
-        ch.issue(DramCommand::Act { bank: BankId(1), row: RowAddr(0) }).unwrap();
-        ch.issue(DramCommand::Act { bank: BankId(4), row: RowAddr(0) }).unwrap();
-        // Move past every tRCD window so only column spacing matters.
+        ch.issue(DramCommand::ActAb { row: RowAddr(0) }).unwrap();
+        // Move past the tRCD window so only column spacing matters.
         ch.advance_to(Time::from_ns(100));
         let t0 = ch.issue(DramCommand::Rd { bank: BankId(0), col: ColAddr(0) }).unwrap();
         // Bank 1 is in the same bank group as bank 0 -> tCCD_L = 2 ns.
@@ -578,9 +498,9 @@ mod tests {
     #[test]
     fn write_recovery_delays_precharge() {
         let mut ch = PimChannelTiming::new();
-        ch.issue(DramCommand::Act { bank: BankId(2), row: RowAddr(0) }).unwrap();
+        ch.issue(DramCommand::ActAb { row: RowAddr(0) }).unwrap();
         let t_wr = ch.issue(DramCommand::Wr { bank: BankId(2), col: ColAddr(0) }).unwrap();
-        let t_pre = ch.issue(DramCommand::Pre { bank: BankId(2) }).unwrap();
+        let t_pre = ch.issue(DramCommand::PreAb).unwrap();
         // PRE >= WR + tCWL + tWR = WR + 8 + 15.
         assert_eq!(ns(t_pre - t_wr), 23.0);
     }
@@ -589,9 +509,11 @@ mod tests {
     fn illegal_commands_are_rejected() {
         let mut ch = PimChannelTiming::new();
         assert!(ch.issue(DramCommand::Rd { bank: BankId(0), col: ColAddr(0) }).is_err());
-        ch.issue(DramCommand::Act { bank: BankId(0), row: RowAddr(0) }).unwrap();
-        assert!(ch.issue(DramCommand::Act { bank: BankId(0), row: RowAddr(1) }).is_err());
-        assert!(ch.issue(DramCommand::MacAb { col: ColAddr(0) }).is_err(), "bank 1 closed");
+        ch.issue(DramCommand::ActAb { row: RowAddr(0) }).unwrap();
+        assert!(ch.issue(DramCommand::ActAb { row: RowAddr(1) }).is_err());
+        assert!(ch.issue(DramCommand::RefAb).is_err(), "row open");
+        ch.issue(DramCommand::PreAb).unwrap();
+        assert!(ch.issue(DramCommand::MacAb { col: ColAddr(0) }).is_err(), "row closed");
     }
 
     #[test]

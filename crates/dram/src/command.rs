@@ -1,28 +1,18 @@
 //! DRAM command vocabulary for a GDDR6-PIM channel.
 //!
-//! Besides the standard GDDR6 commands (ACT/PRE/RD/WR/REF), the PIM parts add
-//! the all-bank variants the paper relies on (§4.2): `ACTab` opens the same
-//! row in all 16 banks at once (enabled by AiM's reservoir capacitors),
-//! `MACab`/`EWMULab` fire one 256-bit beat through every near-bank PU, and
-//! `PREab` closes all rows (already part of stock GDDR6).
+//! The PIM controller drives each channel's 16 banks in lockstep (§4.2):
+//! `ACTab` opens the same row in all 16 banks at once (enabled by AiM's
+//! reservoir capacitors), `MACab`/`EWMULab` fire one 256-bit beat through
+//! every near-bank PU, and `PREab` closes all rows (already part of stock
+//! GDDR6). Single-bank `RD`/`WR` column accesses and the all-bank `REFab`
+//! complete the vocabulary; there is no single-bank ACT or PRE, because the
+//! controller never issues one.
 
 use cent_types::{BankId, ColAddr, RowAddr};
 
 /// One command on the channel's command bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DramCommand {
-    /// Activate `row` in a single bank.
-    Act {
-        /// Target bank.
-        bank: BankId,
-        /// Row to open.
-        row: RowAddr,
-    },
-    /// Precharge a single bank.
-    Pre {
-        /// Target bank.
-        bank: BankId,
-    },
     /// Activate the same `row` in **all 16 banks** simultaneously.
     ///
     /// This command is the key PIM enabler: it lets all near-bank PUs stream
@@ -92,8 +82,6 @@ impl DramCommand {
     /// Short mnemonic, as it would appear in a command trace.
     pub fn mnemonic(self) -> &'static str {
         match self {
-            DramCommand::Act { .. } => "ACT",
-            DramCommand::Pre { .. } => "PRE",
             DramCommand::ActAb { .. } => "ACTab",
             DramCommand::PreAb => "PREab",
             DramCommand::Rd { .. } => "RD",
@@ -111,7 +99,7 @@ impl DramCommand {
 /// because all 16 banks spend activation current.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ActivityCounters {
-    /// Single-bank activates (bank events).
+    /// Activates (bank events).
     pub acts: u64,
     /// Precharges (bank events).
     pub pres: u64,
@@ -181,7 +169,7 @@ mod tests {
     fn all_bank_classification() {
         assert!(DramCommand::ActAb { row: RowAddr(3) }.is_all_bank());
         assert!(DramCommand::RefAb.is_all_bank());
-        assert!(!DramCommand::Act { bank: BankId(2), row: RowAddr(0) }.is_all_bank());
+        assert!(!DramCommand::Wr { bank: BankId(2), col: ColAddr(0) }.is_all_bank());
     }
 
     #[test]

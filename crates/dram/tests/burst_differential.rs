@@ -2,11 +2,11 @@
 //! calls.
 //!
 //! A seeded generator drives two channels through the same row sessions —
-//! all-bank and single-bank activates and precharges, column bursts of every
-//! kind and idle gaps — one timing each burst in closed form, the other beat
-//! by beat. After every step the returned time, `now()`, `busy_until()` and
-//! `stats()` must agree, and so must the issue time of a probe command of
-//! every kind, which reads the per-bank state the public accessors hide.
+//! all-bank activates and precharges, column bursts of every kind and idle
+//! gaps — one timing each burst in closed form, the other beat by beat.
+//! After every step the returned time, `now()`, `busy_until()` and `stats()`
+//! must agree, and so must the issue time of a probe command of every kind,
+//! which reads the row-session state the public accessors hide.
 
 use cent_dram::{DramCommand, PimChannelTiming, TimingParams};
 use cent_types::consts::BANKS_PER_CHANNEL;
@@ -43,7 +43,6 @@ fn params_for(session: u64, rng: &mut Rng64) -> TimingParams {
                 t_rtp: ns(0, 15),
                 t_wr: ns(0, 20),
                 t_cwl: ns(0, 10),
-                t_rrds: ns(0, 8),
                 t_rfc: t_rp + ns(0, 300),
                 t_refi: ns(200, 2_000),
             }
@@ -92,8 +91,6 @@ fn issue_each(ch: &mut PimChannelTiming, first: DramCommand, n: usize) -> CentRe
 fn probes() -> Vec<DramCommand> {
     let bank = BankId(5);
     vec![
-        DramCommand::Act { bank, row: RowAddr(9) },
-        DramCommand::Pre { bank },
         DramCommand::ActAb { row: RowAddr(9) },
         DramCommand::PreAb,
         DramCommand::Rd { bank, col: ColAddr(0) },
@@ -123,26 +120,19 @@ enum Step {
     Gap(Time),
 }
 
-/// Picks the next step from the session's bank state, mostly legal, with an
-/// occasional arbitrary burst so rejected bursts are compared as well.
-fn next_step(rng: &mut Rng64, open: &[bool; BANKS_PER_CHANNEL]) -> Step {
+/// Picks the next step from whether a row is open, mostly legal, with an
+/// occasional arbitrary activate or burst so rejected commands are compared
+/// as well.
+fn next_step(rng: &mut Rng64, open: bool) -> Step {
     let bank = BankId(rng.next_below(BANKS_PER_CHANNEL as u64) as u16);
     let row = RowAddr(rng.next_below(8) as u32);
     let col = ColAddr(rng.next_below(64) as u32);
     let n = 1 + rng.next_below(64) as usize;
-    let all_open = open.iter().all(|&o| o);
-    let none_open = open.iter().all(|&o| !o);
     match rng.next_below(20) {
         0 => Step::Gap(Time::from_ps(rng.next_below(3_000_000))),
         1 => Step::Single(DramCommand::PreAb),
-        2 if all_open || none_open => Step::Single(DramCommand::ActAb { row }),
-        3 | 4 => {
-            if open[bank.index()] {
-                Step::Single(DramCommand::Pre { bank })
-            } else {
-                Step::Single(DramCommand::Act { bank, row })
-            }
-        }
+        2 => Step::Single(DramCommand::ActAb { row }),
+        3 | 4 if open => Step::Single(DramCommand::PreAb),
         5 => {
             // Arbitrary, possibly illegal, burst.
             let kinds = [
@@ -153,8 +143,8 @@ fn next_step(rng: &mut Rng64, open: &[bool; BANKS_PER_CHANNEL]) -> Step {
             ];
             Step::Burst(kinds[rng.next_below(4) as usize], n)
         }
-        _ if none_open => Step::Single(DramCommand::ActAb { row }),
-        6..=11 if all_open => {
+        _ if !open => Step::Single(DramCommand::ActAb { row }),
+        6..=11 => {
             let kind = if rng.next_below(4) == 0 {
                 DramCommand::EwMulAb { col }
             } else {
@@ -163,9 +153,6 @@ fn next_step(rng: &mut Rng64, open: &[bool; BANKS_PER_CHANNEL]) -> Step {
             Step::Burst(kind, n)
         }
         _ => {
-            let open_banks: Vec<u16> =
-                (0..BANKS_PER_CHANNEL as u16).filter(|&b| open[b as usize]).collect();
-            let bank = BankId(open_banks[rng.next_below(open_banks.len() as u64) as usize]);
             if rng.next_below(2) == 0 {
                 Step::Burst(DramCommand::Rd { bank, col }, n)
             } else {
@@ -188,10 +175,10 @@ fn burst_matches_per_beat_issue_over_random_row_sessions() {
             burst.enable_refresh();
             each.enable_refresh();
         }
-        let mut open = [false; BANKS_PER_CHANNEL];
+        let mut open = false;
         for step in 0..STEPS_PER_SESSION {
             let ctx = format!("session {session} step {step} ({params:?})");
-            match next_step(&mut rng, &open) {
+            match next_step(&mut rng, open) {
                 Step::Gap(gap) => {
                     let t = burst.now() + gap;
                     burst.advance_to(t);
@@ -201,13 +188,7 @@ fn burst_matches_per_beat_issue_over_random_row_sessions() {
                     let (tb, te) = (burst.issue(cmd), each.issue(cmd));
                     assert!(same(&tb, &te), "{ctx}: {cmd:?}");
                     if tb.is_ok() {
-                        match cmd {
-                            DramCommand::Act { bank, .. } => open[bank.index()] = true,
-                            DramCommand::Pre { bank } => open[bank.index()] = false,
-                            DramCommand::ActAb { .. } => open = [true; BANKS_PER_CHANNEL],
-                            DramCommand::PreAb => open = [false; BANKS_PER_CHANNEL],
-                            _ => {}
-                        }
+                        open = matches!(cmd, DramCommand::ActAb { .. });
                     }
                 }
                 Step::Burst(cmd, n) => {

@@ -127,8 +127,6 @@ pub mod timing {
     pub const T_WR: Time = Time::from_ns(15);
     /// Write latency (standard GDDR6 value; not in Table 4).
     pub const T_CWL: Time = Time::from_ns(8);
-    /// Row-to-row ACT delay, different banks (standard value).
-    pub const T_RRDS: Time = Time::from_ns(4);
     /// Refresh cycle time for one all-bank refresh (8 Gb GDDR6 C-die class).
     pub const T_RFC: Time = Time::from_ns(455);
     /// Average refresh interval.
