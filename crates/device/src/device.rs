@@ -17,8 +17,10 @@ use cent_isa::{Instruction, MacOperand};
 use cent_pim::{ActivationFunction, MacSource, PimChannel};
 use cent_pnm::PnmStats;
 use cent_pnm::{assemble, programs, PnmCore, PnmUnits, SharedBuffer};
-use cent_types::consts::{CHANNELS_PER_DEVICE, PNM_CLOCK_PERIOD, PNM_RISCV_CORES};
-use cent_types::{Beat, CentError, CentResult, ChannelId, DeviceId, SbSlot, Time};
+use cent_types::consts::{
+    CHANNELS_PER_DEVICE, GLOBAL_BUFFER_SLOTS, PNM_CLOCK_PERIOD, PNM_RISCV_CORES,
+};
+use cent_types::{Beat, CentError, CentResult, ChannelId, ChannelMask, DeviceId, SbSlot, Time};
 
 use crate::breakdown::LatencyBreakdown;
 
@@ -175,11 +177,14 @@ pub struct CxlDevice {
     cores: Vec<PnmCore>,
     next_core: usize,
     /// Timing-only devices: `(latency, retired)` of each `RISCV` call
-    /// already interpreted, keyed by `(pc, rd, rs, opsize)`. The routines
-    /// branch only on their arguments, so the key fixes the instruction
-    /// mix the timing model prices.
+    /// already interpreted since the device was created ([`Self::reset`]
+    /// keeps them), keyed by `(pc, rd, rs, opsize)`. The routines branch
+    /// only on their arguments, so the key fixes the instruction mix the
+    /// timing model prices.
     riscv_timings: BTreeMap<(u32, SbSlot, SbSlot, u32), (Time, u64)>,
     now: Time,
+    /// Completion time of the work issued to any channel.
+    pim_busy: Time,
     breakdown: LatencyBreakdown,
     instructions_executed: u64,
 }
@@ -187,6 +192,14 @@ pub struct CxlDevice {
 impl CxlDevice {
     /// Creates a device.
     pub fn new(id: DeviceId, config: DeviceConfig) -> Self {
+        CxlDevice {
+            cores: (0..PNM_RISCV_CORES).map(|_| booted_core()).collect(),
+            ..Self::without_cores(id, config)
+        }
+    }
+
+    /// A device in its boot state, except that it has no RISC-V cores.
+    fn without_cores(id: DeviceId, config: DeviceConfig) -> Self {
         let channels = (0..config.channels)
             .map(|_| {
                 if config.functional {
@@ -202,13 +215,28 @@ impl CxlDevice {
             channels,
             sb: SharedBuffer::new(),
             pnm: if config.functional { PnmUnits::functional() } else { PnmUnits::timing_only() },
-            cores: (0..PNM_RISCV_CORES).map(|_| booted_core()).collect(),
+            cores: Vec::new(),
             next_core: 0,
             riscv_timings: BTreeMap::new(),
             now: Time::ZERO,
+            pim_busy: Time::ZERO,
             breakdown: LatencyBreakdown::ZERO,
             instructions_executed: 0,
         }
+    }
+
+    /// Returns the device to its boot state: fresh channels, Shared Buffer
+    /// and PNM units, and zero clock, breakdown and instruction count. The
+    /// cores keep their loaded routines (a call leaves nothing else behind
+    /// in a core), and a timing-only device keeps the timings of the
+    /// `RISCV` calls it has already interpreted, so a run of block steps
+    /// on one device interprets each distinct call once.
+    pub fn reset(&mut self) {
+        let cores = std::mem::take(&mut self.cores);
+        let riscv_timings = std::mem::take(&mut self.riscv_timings);
+        // Free the old channels first, so a reset never holds two sets.
+        drop(std::mem::take(&mut self.channels));
+        *self = CxlDevice { cores, riscv_timings, ..Self::without_cores(self.id, self.config) };
     }
 
     /// This device's fabric identity.
@@ -228,7 +256,7 @@ impl CxlDevice {
 
     /// Completion time across decoder and all channels.
     pub fn busy_until(&self) -> Time {
-        self.channels.iter().map(PimChannel::busy_until).fold(self.now, Time::max)
+        self.now.max(self.pim_busy)
     }
 
     /// Latency attribution so far.
@@ -299,11 +327,48 @@ impl CxlDevice {
         channel.preload_beat(bank, row, col, beat)
     }
 
-    fn channel_mut(&mut self, idx: usize) -> CentResult<&mut PimChannel> {
+    /// Fails unless every channel `chmask` selects is present.
+    fn check_mask(&self, chmask: ChannelMask) -> CentResult<()> {
         let n = self.channels.len();
-        self.channels
+        match chmask.0.checked_ilog2() {
+            Some(top) if top as usize >= n => {
+                Err(CentError::config(format!("channel {top} of {n} not present")))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Advances channel `idx` to the decoder clock and runs `op` on it.
+    fn on_channel<T>(
+        &mut self,
+        idx: usize,
+        op: impl FnOnce(&mut PimChannel) -> CentResult<T>,
+    ) -> CentResult<T> {
+        let n = self.channels.len();
+        let channel = self
+            .channels
             .get_mut(idx)
-            .ok_or_else(|| CentError::config(format!("channel {idx} of {n} not present")))
+            .ok_or_else(|| CentError::config(format!("channel {idx} of {n} not present")))?;
+        channel.advance_to(self.now);
+        let result = op(channel);
+        // Channel completion times only grow, so the running maximum is the
+        // maximum over all channels.
+        self.pim_busy = self.pim_busy.max(channel.busy_until());
+        result
+    }
+
+    /// [`Self::on_channel`] on every channel `chmask` selects, in index
+    /// order, once all of them are known to be present.
+    fn on_channels(
+        &mut self,
+        chmask: ChannelMask,
+        mut op: impl FnMut(&mut PimChannel) -> CentResult<()>,
+    ) -> CentResult<()> {
+        self.check_mask(chmask)?;
+        for ch in chmask.iter() {
+            self.on_channel(ch.index(), &mut op)?;
+        }
+        Ok(())
     }
 
     /// Executes one instruction. `comm` is required for CXL instructions and
@@ -322,26 +387,27 @@ impl CxlDevice {
         self.now += PNM_CLOCK_PERIOD;
         match *inst {
             Instruction::WrGb { chmask, opsize, gb_slot, rs } => {
+                if usize::from(gb_slot) + opsize as usize > GLOBAL_BUFFER_SLOTS {
+                    return Err(CentError::AddressOutOfRange(format!(
+                        "WR_GB of {opsize} beats at GB slot {gb_slot}"
+                    )));
+                }
                 let beats: Vec<Beat> = (0..opsize)
                     .map(|i| self.sb.read(rs.offset(i as u16)))
                     .collect::<CentResult<_>>()?;
-                let now = self.now;
-                for ch in chmask.iter() {
-                    let channel = self.channel_mut(ch.index())?;
-                    channel.advance_to(now);
+                self.on_channels(chmask, |channel| {
                     for (i, beat) in beats.iter().enumerate() {
-                        channel.write_gb(gb_slot as usize + i, beat);
+                        channel.write_gb(usize::from(gb_slot) + i, beat);
                     }
-                }
+                    Ok(())
+                })?;
             }
             Instruction::WrBias { chmask, rs, reg } => {
                 let beat = self.sb.read(rs)?;
-                let now = self.now;
-                for ch in chmask.iter() {
-                    let channel = self.channel_mut(ch.index())?;
-                    channel.advance_to(now);
+                self.on_channels(chmask, |channel| {
                     channel.write_bias(reg, &beat);
-                }
+                    Ok(())
+                })?;
             }
             Instruction::MacAbk { chmask, opsize, row, col, reg, operand } => {
                 let source = match operand {
@@ -350,58 +416,45 @@ impl CxlDevice {
                     }
                     MacOperand::NeighbourBank => MacSource::NeighbourBank,
                 };
-                let now = self.now;
-                for ch in chmask.iter() {
-                    let channel = self.channel_mut(ch.index())?;
-                    channel.advance_to(now);
-                    channel.mac_abk(row, col, opsize as usize, reg, source)?;
-                }
+                self.on_channels(chmask, |channel| {
+                    channel.mac_abk(row, col, opsize as usize, reg, source).map(drop)
+                })?;
             }
             Instruction::EwMul { chmask, opsize, row, col } => {
-                let now = self.now;
-                for ch in chmask.iter() {
-                    let channel = self.channel_mut(ch.index())?;
-                    channel.advance_to(now);
-                    channel.ew_mul(row, col, opsize as usize)?;
-                }
+                self.on_channels(chmask, |channel| {
+                    channel.ew_mul(row, col, opsize as usize).map(drop)
+                })?;
             }
             Instruction::Af { chmask, af_id, reg } => {
                 let af = ActivationFunction::from_id(af_id).ok_or_else(|| {
                     CentError::InvalidInstruction(format!("unknown AFid {af_id}"))
                 })?;
-                let now = self.now;
-                for ch in chmask.iter() {
-                    let channel = self.channel_mut(ch.index())?;
-                    channel.advance_to(now);
-                    channel.af(reg, af)?;
-                }
+                self.on_channels(chmask, |channel| channel.af(reg, af).map(drop))?;
             }
             Instruction::RdMac { chmask, rd, reg } => {
                 // Consuming results: sync with each channel's completion.
+                self.check_mask(chmask)?;
                 let mut slot = rd;
                 for ch in chmask.iter() {
                     let busy = self.channels[ch.index()].busy_until();
                     self.sync_pim(busy);
-                    let channel = self.channel_mut(ch.index())?;
-                    let (beat, _) = channel.read_mac(reg);
+                    let (beat, _) = self.channels[ch.index()].read_mac(reg);
                     self.sb.write(slot, &beat)?;
                     slot = slot.offset(1);
                 }
             }
             Instruction::WrSbk { ch, opsize, bank, row, col, rs } => {
-                let now = self.now;
                 let beats: Vec<Beat> = (0..opsize)
                     .map(|i| self.sb.read(rs.offset(i as u16)))
                     .collect::<CentResult<_>>()?;
-                let channel = self.channel_mut(ch.index())?;
-                channel.advance_to(now);
-                channel.write_beats(bank, row, col, &beats)?;
+                self.on_channel(ch.index(), |channel| {
+                    channel.write_beats(bank, row, col, &beats).map(drop)
+                })?;
             }
             Instruction::RdSbk { ch, opsize, bank, row, col, rd } => {
-                let now = self.now;
-                let channel = self.channel_mut(ch.index())?;
-                channel.advance_to(now);
-                let beats = channel.read_beats(bank, row, col, opsize as usize)?;
+                let beats = self.on_channel(ch.index(), |channel| {
+                    channel.read_beats(bank, row, col, opsize as usize)
+                })?;
                 let busy = self.channels[ch.index()].busy_until();
                 self.sync_pim(busy);
                 for (i, beat) in beats.iter().enumerate() {
@@ -410,26 +463,23 @@ impl CxlDevice {
             }
             Instruction::WrAbk { ch, row, elem, rs } => {
                 let beat = self.sb.read(rs)?;
-                let now = self.now;
-                let channel = self.channel_mut(ch.index())?;
-                channel.advance_to(now);
-                channel.write_element_all_banks(row, elem as usize, &beat)?;
+                self.on_channel(ch.index(), |channel| {
+                    channel.write_element_all_banks(row, elem as usize, &beat).map(drop)
+                })?;
             }
             Instruction::CopyBkGb { chmask, opsize, bank, row, col, gb_slot } => {
-                let now = self.now;
-                for ch in chmask.iter() {
-                    let channel = self.channel_mut(ch.index())?;
-                    channel.advance_to(now);
-                    channel.copy_bank_to_gb(bank, row, col, gb_slot as usize, opsize as usize)?;
-                }
+                self.on_channels(chmask, |channel| {
+                    channel
+                        .copy_bank_to_gb(bank, row, col, gb_slot as usize, opsize as usize)
+                        .map(drop)
+                })?;
             }
             Instruction::CopyGbBk { chmask, opsize, bank, row, col, gb_slot } => {
-                let now = self.now;
-                for ch in chmask.iter() {
-                    let channel = self.channel_mut(ch.index())?;
-                    channel.advance_to(now);
-                    channel.copy_gb_to_bank(bank, row, col, gb_slot as usize, opsize as usize)?;
-                }
+                self.on_channels(chmask, |channel| {
+                    channel
+                        .copy_gb_to_bank(bank, row, col, gb_slot as usize, opsize as usize)
+                        .map(drop)
+                })?;
             }
             Instruction::Exp { opsize, rd, rs } => {
                 let t = self.pnm.exp(&mut self.sb, rd, rs, opsize as usize)?;
@@ -696,6 +746,97 @@ mod tests {
             assert!(timing.execute(&bad, None).is_err());
         }
         assert_eq!(timing.riscv_timings.len(), 2);
+    }
+
+    #[test]
+    fn wr_gb_past_the_global_buffer_is_rejected_before_any_write() {
+        let mut dev = small_device(0);
+        dev.shared_buffer_mut().write_vec(SbSlot(0), &[Bf16::ONE; 32]).unwrap();
+        let err = dev
+            .execute(
+                &Instruction::WrGb {
+                    chmask: ChannelMask(1),
+                    opsize: 2,
+                    gb_slot: 63,
+                    rs: SbSlot(0),
+                },
+                None,
+            )
+            .unwrap_err();
+        assert!(matches!(err, CentError::AddressOutOfRange(_)), "{err}");
+        assert_eq!(dev.channel(ChannelId(0)).unwrap().gb(63)[0], Bf16::ZERO);
+        // A mask bit past the device's channels fails before channel 0 is
+        // written.
+        let err = dev
+            .execute(
+                &Instruction::WrGb {
+                    chmask: ChannelMask(0b101),
+                    opsize: 1,
+                    gb_slot: 0,
+                    rs: SbSlot(0),
+                },
+                None,
+            )
+            .unwrap_err();
+        assert!(matches!(err, CentError::InvalidConfig(_)), "{err}");
+        assert_eq!(dev.channel(ChannelId(0)).unwrap().gb(0)[0], Bf16::ZERO);
+    }
+
+    #[test]
+    fn rd_mac_of_a_missing_channel_is_rejected_before_any_write() {
+        let mut dev = small_device(0);
+        dev.shared_buffer_mut().write_vec(SbSlot(8), &[Bf16::from_f32(5.0); 16]).unwrap();
+        let before = dev.now();
+        let err = dev
+            .execute(
+                &Instruction::RdMac {
+                    chmask: ChannelMask(0b1001),
+                    rd: SbSlot(8),
+                    reg: AccRegId::new(0),
+                },
+                None,
+            )
+            .unwrap_err();
+        assert!(matches!(err, CentError::InvalidConfig(_)), "{err}");
+        // Channel 0's result was not written over slot 8, and only the
+        // decoder slot of the failed instruction passed.
+        assert_eq!(dev.shared_buffer().read(SbSlot(8)).unwrap()[0].to_f32(), 5.0);
+        assert_eq!(dev.now(), before + PNM_CLOCK_PERIOD);
+    }
+
+    #[test]
+    fn reset_returns_to_boot_state_but_keeps_the_riscv_table() {
+        let config = DeviceConfig { channels: 2, functional: false };
+        let trace = [
+            Instruction::MacAbk {
+                chmask: ChannelMask(0b11),
+                opsize: 70,
+                row: RowAddr(3),
+                col: ColAddr(60),
+                reg: AccRegId::new(0),
+                operand: MacOperand::NeighbourBank,
+            },
+            Instruction::Riscv { opsize: 16, pc: riscv_pc::VEC_ADD, rd: SbSlot(9), rs: SbSlot(4) },
+            Instruction::Exp { opsize: 4, rd: SbSlot(1), rs: SbSlot(0) },
+            Instruction::RdMac { chmask: ChannelMask(0b11), rd: SbSlot(20), reg: AccRegId::new(0) },
+        ];
+        let mut fresh = CxlDevice::new(DeviceId(0), config);
+        let done = fresh.run_trace(&trace, None).unwrap();
+        let mut reused = CxlDevice::new(DeviceId(0), config);
+        reused.run_trace(&trace, None).unwrap();
+        reused.reset();
+        assert_eq!(reused.now(), Time::ZERO);
+        assert_eq!(reused.busy_until(), Time::ZERO);
+        assert_eq!(reused.breakdown(), LatencyBreakdown::ZERO);
+        assert_eq!(reused.instructions_executed(), 0);
+        assert_eq!(reused.dram_activity(), ActivityCounters::default());
+        assert_eq!(*reused.pnm_activity(), PnmStats::default());
+        assert_eq!(reused.riscv_timings.len(), 1);
+        // The second run reuses the table and times exactly like the first.
+        assert_eq!(reused.run_trace(&trace, None).unwrap(), done);
+        assert_eq!(reused.breakdown(), fresh.breakdown());
+        assert_eq!(reused.dram_activity(), fresh.dram_activity());
+        assert_eq!(reused.pnm_activity(), fresh.pnm_activity());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! times the segment's column beats in closed form yet exactly as if each
 //! were issued on its own. Functional and timing-only channels share that
 //! timing path; a functional channel additionally loops over the segment's
-//! beats to move data.
+//! beats to move data, and only it touches the PU accumulators.
 
 use std::collections::BTreeMap;
 
@@ -508,10 +508,13 @@ impl PimChannel {
     // ------------------------------------------------------------- compute
 
     /// `WR_BIAS`: loads accumulation register `reg` of PU `p` with lane `p`
-    /// of `beat` (converted to the wide accumulator format).
+    /// of `beat` (converted to the wide accumulator format). A timing-only
+    /// channel only pays the PU cycle.
     pub fn write_bias(&mut self, reg: AccRegId, beat: &Beat) {
-        for (p, pu) in self.pus.iter_mut().enumerate() {
-            pu.acc[reg.index()] = beat[p].to_f32();
+        if self.functional {
+            for (p, pu) in self.pus.iter_mut().enumerate() {
+                pu.acc[reg.index()] = beat[p].to_f32();
+            }
         }
         let t = self.timing.now();
         self.timing.advance_to(t + cent_types::consts::PU_CLOCK_PERIOD);
@@ -632,11 +635,14 @@ impl PimChannel {
     }
 
     /// `RD_MAC`: reads accumulation register `reg` of all 16 PUs as one beat
-    /// (lane `p` = PU `p`), rounding the wide accumulators to BF16.
+    /// (lane `p` = PU `p`), rounding the wide accumulators to BF16. A
+    /// timing-only channel returns a zero beat.
     pub fn read_mac(&mut self, reg: AccRegId) -> (Beat, Time) {
         let mut beat = ZERO_BEAT;
-        for (p, pu) in self.pus.iter().enumerate() {
-            beat[p] = Bf16::from_f32(pu.acc[reg.index()]);
+        if self.functional {
+            for (p, pu) in self.pus.iter().enumerate() {
+                beat[p] = Bf16::from_f32(pu.acc[reg.index()]);
+            }
         }
         let t = self.timing.now();
         self.timing.advance_to(t + cent_types::consts::PU_CLOCK_PERIOD);
@@ -812,6 +818,13 @@ mod tests {
         let (beat, _) = ch.read_beat(BankId(0), RowAddr(0), ColAddr(0)).unwrap();
         assert_eq!(beat, ZERO_BEAT);
         assert!(!ch.is_functional());
+        // The accumulators carry no data either, but each access still costs
+        // a PU cycle.
+        let (_, t0) = ch.read_mac(AccRegId::new(1));
+        ch.write_bias(AccRegId::new(1), &beat_of(&[3.0; 16]));
+        let (acc, t1) = ch.read_mac(AccRegId::new(1));
+        assert_eq!(acc, ZERO_BEAT);
+        assert_eq!(t1 - t0, cent_types::consts::PU_CLOCK_PERIOD.times(2));
     }
 
     #[test]

@@ -70,8 +70,24 @@ pub fn simulate_placed_block_step(
     placement: &BlockPlacement,
     position: usize,
 ) -> CentResult<BlockTiming> {
+    simulate_step_on(&mut timing_device(), placement, position)
+}
+
+/// A timing-only device for block steps. Steps run on one device share its
+/// table of interpreted `RISCV` calls.
+pub(crate) fn timing_device() -> CxlDevice {
+    CxlDevice::new(DeviceId(0), DeviceConfig::timing_only())
+}
+
+/// Simulates one decode step of `placement` on `dev`, reset to its boot
+/// state first.
+fn simulate_step_on(
+    dev: &mut CxlDevice,
+    placement: &BlockPlacement,
+    position: usize,
+) -> CentResult<BlockTiming> {
     let step = compile_decode_step(placement, position)?;
-    let mut dev = CxlDevice::new(DeviceId(0), DeviceConfig::timing_only());
+    dev.reset();
     let mut phases: BTreeMap<BlockPhase, Time> = BTreeMap::new();
     let mut last = Time::ZERO;
     for (inst, tag) in step.trace.iter().zip(&step.tags) {
@@ -103,6 +119,16 @@ pub fn simulate_block_avg(
     channels: usize,
     context: usize,
 ) -> CentResult<BlockTiming> {
+    simulate_block_avg_on(&mut timing_device(), cfg, channels, context)
+}
+
+/// [`simulate_block_avg`] with every sampled step on `dev`.
+pub(crate) fn simulate_block_avg_on(
+    dev: &mut CxlDevice,
+    cfg: &ModelConfig,
+    channels: usize,
+    context: usize,
+) -> CentResult<BlockTiming> {
     let samples = [context / 4, context / 2, (3 * context) / 4, context.saturating_sub(1)];
     let channel_ids: Vec<ChannelId> = (0..channels).map(|c| ChannelId(c as u16)).collect();
     let placement = BlockPlacement::plan(cfg, channel_ids)?;
@@ -110,7 +136,7 @@ pub fn simulate_block_avg(
     let mut n = 0u32;
     for &pos in &samples {
         let pos = pos.min(cfg.max_context - 1).max(1);
-        let t = simulate_placed_block_step(&placement, pos)?;
+        let t = simulate_step_on(dev, &placement, pos)?;
         n += 1;
         acc = Some(match acc {
             None => t,

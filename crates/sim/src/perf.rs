@@ -19,7 +19,7 @@ use cent_model::ModelConfig;
 use cent_types::consts::host;
 use cent_types::{ByteSize, CentResult, DeviceId, Time};
 
-use crate::block_sim::{simulate_block_avg, BlockTiming};
+use crate::block_sim::{simulate_block_avg_on, timing_device, BlockTiming};
 
 /// Performance of a CENT deployment for one workload point.
 #[derive(Debug, Clone)]
@@ -71,7 +71,10 @@ pub fn evaluate(
     // Wide TP shards can exceed the Shared Buffer budget; simulate with the
     // largest feasible channel count and rescale the FC phases below.
     let sim_channels = cent_compiler::max_feasible_channels(cfg, mapping.channels_per_block);
-    let block = simulate_block_avg(cfg, sim_channels, context)?;
+    // Both block averages run on one device, so each distinct `RISCV` call
+    // is interpreted once per evaluation.
+    let mut dev = timing_device();
+    let block = simulate_block_avg_on(&mut dev, cfg, sim_channels, context)?;
     let mut fabric = CxlFabric::new(FabricConfig::cent(devices.max(2)));
     let emb = mapping.embedding_bytes();
 
@@ -129,7 +132,7 @@ pub fn evaluate(
     };
     // Prefill runs prompt tokens through the same path (§5.5); its
     // throughput matches decode token rate at small contexts.
-    let prefill_block = simulate_block_avg(cfg, sim_channels, context.min(512))?;
+    let prefill_block = simulate_block_avg_on(&mut dev, cfg, sim_channels, context.min(512))?;
     let prefill_interval = if tp > 1 {
         let shard_channels = tp * cent_types::consts::CHANNELS_PER_DEVICE;
         Time::from_ps(prefill_block.fc_time().as_ps() * sim_channels as u64 / shard_channels as u64)

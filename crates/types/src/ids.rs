@@ -229,7 +229,15 @@ impl ChannelMask {
 
     /// Iterates over the selected channels in ascending order.
     pub fn iter(self) -> impl Iterator<Item = ChannelId> {
-        (0..32u16).map(ChannelId).filter(move |c| self.contains(*c))
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let lowest = bits.trailing_zeros() as u16;
+            bits &= bits - 1;
+            Some(ChannelId(lowest))
+        })
     }
 
     /// Union of two masks.
@@ -367,6 +375,9 @@ mod tests {
         assert_eq!(u.count(), 3);
         assert!(ChannelMask::EMPTY.is_empty());
         assert_eq!(ChannelMask::ALL.count(), 32);
+        assert_eq!(u.iter().collect::<Vec<_>>(), [0, 5, 31].map(ChannelId));
+        assert_eq!(ChannelMask::ALL.iter().count(), 32);
+        assert_eq!(ChannelMask::EMPTY.iter().next(), None);
     }
 
     #[test]
