@@ -35,7 +35,7 @@ fn main() {
             &DramEnergyModel::default(),
             &ControllerPowerModel::default(),
             &cent.block.dram.scaled(bpd),
-            &cent.block.pnm,
+            &cent.block.pnm.scaled(bpd),
             window,
         );
         let used = cent.mapping.used_devices as f64;

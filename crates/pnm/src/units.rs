@@ -27,6 +27,18 @@ impl PnmStats {
         self.exp_beats += other.exp_beats;
         self.riscv_instructions += other.riscv_instructions;
     }
+
+    /// Scales every counter (averaging windows, or extrapolating one
+    /// simulated block to the blocks a device hosts).
+    pub fn scaled(&self, factor: f64) -> PnmStats {
+        let s = |v: u64| (v as f64 * factor).round() as u64;
+        PnmStats {
+            acc_beats: s(self.acc_beats),
+            red_beats: s(self.red_beats),
+            exp_beats: s(self.exp_beats),
+            riscv_instructions: s(self.riscv_instructions),
+        }
+    }
 }
 
 /// Computes `e^x` the way the exponent accelerator does: an order-10 Taylor

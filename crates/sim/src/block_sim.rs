@@ -161,6 +161,7 @@ pub(crate) fn simulate_block_avg_on(
         *v = div(*v);
     }
     a.dram = a.dram.scaled(1.0 / f64::from(n));
+    a.pnm = a.pnm.scaled(1.0 / f64::from(n));
     a.instructions /= u64::from(n);
     Ok(a)
 }
@@ -207,5 +208,27 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let avg = simulate_block_avg(&cfg, 2, 32).unwrap();
         assert!(avg.total > Time::ZERO);
+    }
+
+    #[test]
+    fn average_is_the_mean_of_its_samples() {
+        let cfg = ModelConfig::llama2_7b();
+        let placement = BlockPlacement::plan(&cfg, (0..4).map(ChannelId).collect()).unwrap();
+        let avg = simulate_block_avg(&cfg, 4, 256).unwrap();
+        let samples: Vec<BlockTiming> = [64, 128, 192, 255]
+            .iter()
+            .map(|&pos| simulate_placed_block_step(&placement, pos).unwrap())
+            .collect();
+        let mean = |f: fn(&BlockTiming) -> u64| {
+            (samples.iter().map(f).sum::<u64>() as f64 / 4.0).round() as u64
+        };
+        assert_eq!(avg.total.as_ps(), samples.iter().map(|s| s.total.as_ps()).sum::<u64>() / 4);
+        assert_eq!(avg.instructions, samples.iter().map(|s| s.instructions).sum::<u64>() / 4);
+        assert_eq!(avg.dram.mac_beats, mean(|s| s.dram.mac_beats));
+        assert_eq!(avg.pnm.acc_beats, mean(|s| s.pnm.acc_beats));
+        assert_eq!(avg.pnm.red_beats, mean(|s| s.pnm.red_beats));
+        assert_eq!(avg.pnm.exp_beats, mean(|s| s.pnm.exp_beats));
+        assert_eq!(avg.pnm.riscv_instructions, mean(|s| s.pnm.riscv_instructions));
+        assert!(avg.pnm.riscv_instructions > 0);
     }
 }
