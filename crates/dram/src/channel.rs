@@ -263,14 +263,23 @@ impl PimChannelTiming {
     /// Returns [`CentError::ProtocolViolation`] for state violations (see
     /// [`Self::earliest_issue`]).
     pub fn issue(&mut self, cmd: DramCommand) -> CentResult<Time> {
+        self.refresh_if_due(cmd)?;
+        let t = self.earliest_issue(cmd)?;
+        self.commit(cmd, t, 1);
+        Ok(t)
+    }
+
+    /// Injects the all-bank refresh due before `cmd`, if any.
+    fn refresh_if_due(&mut self, cmd: DramCommand) -> CentResult<()> {
         if self.refresh_enabled
             && self.now >= self.next_refresh
             && self.open_row.is_none()
             && !matches!(cmd, DramCommand::RefAb)
         {
-            self.apply(DramCommand::RefAb)?;
+            let t = self.earliest_issue(DramCommand::RefAb)?;
+            self.commit(DramCommand::RefAb, t, 1);
         }
-        self.apply(cmd)
+        Ok(())
     }
 
     /// Issues a burst of `n` same-kind column commands inside one open row
@@ -298,29 +307,20 @@ impl PimChannelTiming {
                 first.mnemonic()
             )));
         }
-        let t_first = self.issue(first)?;
-        if n == 1 {
-            return Ok(t_first);
-        }
+        self.refresh_if_due(first)?;
+        let t_first = self.earliest_issue(first)?;
         let p = &self.params;
         let stride = match first {
             DramCommand::Rd { .. } | DramCommand::Wr { .. } => p.t_ccds.max(p.t_ccdl),
             _ => p.t_ccds,
         };
-        let rest = (n - 1) as u64;
-        let t_last = t_first + stride.times(rest);
+        let t_last = t_first + stride.times(n as u64 - 1);
         // Every per-beat update is a last-writer-wins store, a max with a
         // term that grows with the issue time, or a counter increment, so
-        // committing the last beat with the remaining count reproduces the
+        // committing the last beat with the whole count reproduces the
         // beat-by-beat state.
-        self.commit(first, t_last, rest);
+        self.commit(first, t_last, n as u64);
         Ok(t_last)
-    }
-
-    fn apply(&mut self, cmd: DramCommand) -> CentResult<Time> {
-        let t = self.earliest_issue(cmd)?;
-        self.commit(cmd, t, 1);
-        Ok(t)
     }
 
     /// Records `cmd` issued at `t`. A column command stands for `beats`

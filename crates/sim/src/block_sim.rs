@@ -88,13 +88,18 @@ fn simulate_step_on(
 ) -> CentResult<BlockTiming> {
     let step = compile_decode_step(placement, position)?;
     dev.reset();
+    // Each instruction is charged the growth of `busy_until` it causes.
+    // `busy_until` never decreases, so a run of instructions with one tag
+    // is charged its growth over the whole run.
     let mut phases: BTreeMap<BlockPhase, Time> = BTreeMap::new();
-    let mut last = Time::ZERO;
-    for (inst, tag) in step.trace.iter().zip(&step.tags) {
+    let mut run_start = Time::ZERO;
+    for (i, (inst, &tag)) in step.trace.iter().zip(&step.tags).enumerate() {
         dev.execute(inst, None)?;
-        let now = dev.busy_until();
-        *phases.entry(*tag).or_insert(Time::ZERO) += now.saturating_sub(last);
-        last = now;
+        if step.tags.get(i + 1) != Some(&tag) {
+            let now = dev.busy_until();
+            *phases.entry(tag).or_insert(Time::ZERO) += now - run_start;
+            run_start = now;
+        }
     }
     let total = dev.busy_until();
     Ok(BlockTiming {
