@@ -4,13 +4,16 @@
 //! GDDR6-PIM channels per CXL device (§6). This crate is the equivalent
 //! substrate, built from scratch in Rust:
 //!
-//! * [`DramCommand`] — the command vocabulary, including the PIM all-bank
-//!   commands (`ACTab`, `MACab`, `EWMULab`, `PREab`);
+//! * [`DramCommand`] — the command vocabulary: the PIM all-bank commands
+//!   (`ACTab`, `MACab`, `EWMULab`, `PREab`, `REFab`) and single-bank
+//!   `RD`/`WR` column accesses. Rows open and close only in all 16 banks at
+//!   once, so there is no single-bank `ACT` or `PRE`;
 //! * [`PimChannelTiming`] — a per-channel timing state machine enforcing the
 //!   paper's Table 4 constraints (`tRCDRD`=18 ns, `tRAS`=27 ns, `tCL`=25 ns,
-//!   `tRCDWR`=14 ns, `tCCDS`=1 ns, `tRP`=16 ns), whose
-//!   [`PimChannelTiming::issue_burst`] times a run of column beats in one
-//!   open row in closed form, bit-identical to issuing them one by one;
+//!   `tRCDWR`=14 ns, `tCCDS`=1 ns, `tRP`=16 ns) against one row session
+//!   shared by the lockstep banks, so every command is timed in O(1), and
+//!   whose [`PimChannelTiming::issue_burst`] times a run of column beats in
+//!   one open row in closed form, bit-identical to issuing them one by one;
 //! * [`ActivityCounters`] — per-command activity tallies feeding the
 //!   activity-based power model.
 //!
