@@ -18,7 +18,8 @@
 //!    every generated token is accounted for, and the host pool bound
 //!    holds;
 //! 4. a committed FNV-1a digest of the span engine's `GroupOutcome`
-//!    (report, stats, completion records), so any change to what the
+//!    (report, stats, completion records, and the raw group and per-class
+//!    TBT histograms and submission counts), so any change to what the
 //!    engines simulate fails here.
 //!
 //! Before two engine fixes, property 1 failed on cases 273 and 395. In
@@ -173,7 +174,12 @@ fn incremental(case: &Case) -> GroupOutcome {
 
 fn digest(out: &GroupOutcome) -> u64 {
     let mut h = Fnv(0xCBF2_9CE4_8422_2325);
-    write!(h, "{:?}|{:?}|{:?}", out.report, out.stats, out.records).expect("hashing never fails");
+    write!(
+        h,
+        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+        out.report, out.stats, out.records, out.tbt, out.tbt_by_class, out.submitted_by_class
+    )
+    .expect("hashing never fails");
     h.0
 }
 
@@ -257,404 +263,404 @@ fn serving_engines_match_each_other_and_their_committed_digests() {
 /// FNV-1a digests of the span engine's outcome, one per case.
 #[rustfmt::skip]
 const DIGESTS: [u64; CASES] = [
-    0x18B15DCA2D24CD9C,
-    0x1A3D185DBA252D03,
-    0xA6299C0891978527,
-    0xAB7B64651D2B3C40,
-    0x34165434449A764A,
-    0x5D72BA650F4B5727,
-    0xC46B1214FE226AE3,
-    0x0E451AB25F401024,
-    0xE779DED5278D271E,
-    0xC15F32AC7E576094,
-    0xA8C0A0548DE792CF,
-    0x3CF1081F46D7FFEE,
-    0xD596ED0F7BCB7DDD,
-    0x3BEA2B789A59A518,
-    0x2552D3D28B8D7F6E,
-    0xA5A08663C4C4C510,
-    0x4A686AE3A8FED237,
-    0x7A406A3721E2517D,
-    0x4212A56338C49719,
-    0x48C7F76C3D85BB29,
-    0x04DB1419CFC92FDA,
-    0xA18945DF90B71729,
-    0xF13F82A9C798320E,
-    0x56FC7F39CC56E8A9,
-    0x747F67044C5575B9,
-    0x6E13F88E8480B089,
-    0x05BE620B2A3B98AD,
-    0x91743CD6DAB3E76C,
-    0xF3CEF4486D69C550,
-    0xAE586ED2F9203AF0,
-    0x569F970ED66FC052,
-    0x2D90005FBC10C5A2,
-    0xACDA7486CC3D5FAE,
-    0x49E5CB9CA3734657,
-    0xB64A7C34C1CA85F8,
-    0x73E22AFA5934CE2F,
-    0x4052EDBA96AA62B3,
-    0x0582B54D9E4397A2,
-    0x4DBDD1F84C952474,
-    0x99A4AFBA5065319B,
-    0x91E6A68ABF21B06C,
-    0x5DD85E8854BA05A8,
-    0xD2C54AD4B5AB5596,
-    0x0DA48614255EFD1C,
-    0x561596E941488BE4,
-    0x2C0680DEEF9B323A,
-    0x6F5281A05E2B1029,
-    0xE2427168478206B6,
-    0x51FDB77B3D63D79B,
-    0x478A721F8A578674,
-    0xF8555F51B69C2BD6,
-    0xFC16C1656B5A8D94,
-    0xA4953763A1CA8BDB,
-    0xEE1D5919AB69E659,
-    0xD2C0AE014EFD94B5,
-    0x6E8D4C7885D211BE,
-    0xCADC090A382F4D80,
-    0x4BC9AAB639523A5F,
-    0x46AB32996EB30E4E,
-    0x5524C1203A45EA47,
-    0xDFA2892247348902,
-    0xFA8583A3BA42C33F,
-    0xB1A34158E38B4816,
-    0x7D8A41DC52C78F28,
-    0xF679B5464B2DC370,
-    0x4D66D748A28498C2,
-    0xDF94F04DDD49EBA6,
-    0x138A7FF62D076420,
-    0x77AEEC056ED754CF,
-    0x092D475DE6BD26D3,
-    0x49FD5F1449A8C8CE,
-    0xB6C8CAD7164EEA38,
-    0x8F4C517D03884573,
-    0xE837F47E618F4D4C,
-    0x971961DEDAD14888,
-    0xB116EF2E01AB9E87,
-    0xEE3A7DABD9C0B96F,
-    0xE553C3AD5A592465,
-    0x6241E9F9A2942A12,
-    0xBEC5585F16C1E5DD,
-    0xCD2C198CDBF6E896,
-    0x3DE0A30BB480F580,
-    0xC2D439151FBFA2ED,
-    0xD7678783B60E7103,
-    0xF9E4FDF1C129E06C,
-    0x774932999F74A718,
-    0x9BAA0DF7D05797CB,
-    0x011841003BD19E97,
-    0x8D67B993A4EA5CED,
-    0x6F2C285694B1C081,
-    0x1B73BC297920FFE3,
-    0x737D62B3FFD83700,
-    0x2C6709852BDFE558,
-    0xF7C873556B1892FA,
-    0x996D82326DEC7BDC,
-    0x4D56F6747DFA2606,
-    0xD99D05CA6D32C775,
-    0x6D4CB4A2B6395FAE,
-    0x6353E72440089B7A,
-    0x08329BAA6FE61220,
-    0xFD9E259E7518C8F2,
-    0x78527D02757285D7,
-    0x81EA3F549E997862,
-    0xDF293E19EE5EA210,
-    0x10B885B446445B99,
-    0x30E049C9A1BD0289,
-    0x7B0C9605D093D9C0,
-    0x9A1088789D6BF625,
-    0x5933B29DCA94C80F,
-    0x7578CCE9C5B763E7,
-    0x151A8F18F480F10B,
-    0x7E81DE5FEEE52A6F,
-    0x6B80E91AB8C3B929,
-    0xD733FFB4C3E3785E,
-    0xF3095E7EF4B948BA,
-    0x6AD50903624423C8,
-    0xC45592E5737C28C8,
-    0x8A2221E9F78EC08F,
-    0x265E1A58EE6E822E,
-    0xAB46C2428E95A8FE,
-    0xBA2FAF817E7E0088,
-    0xEF819FE7E6833F59,
-    0x95810701F9BAC23C,
-    0xB838B73523C3C72A,
-    0xB16BB81D87B58CC9,
-    0x7DA9B2D4837A9281,
-    0x0D08089AC98BFD17,
-    0x922000001C02B1E6,
-    0x354CFD84BFDFBDD0,
-    0xCE5D4D606B2E7980,
-    0x569F8FAF62B5D06C,
-    0xA4F8F9ECFB8E854D,
-    0xA6734F4AF99AA00A,
-    0x2E72A221D92AAE71,
-    0x49844EC1F400386B,
-    0xECF0E71ED01EF861,
-    0x81D024639E2C05C6,
-    0xA8D19A1F4EAA6688,
-    0xC27D5142C646EF16,
-    0x9DB10ABB39E567B2,
-    0x0F1BA45FEC91E009,
-    0x51AA9412BB7E11F2,
-    0x01551A5FAC89CF63,
-    0x6C99BD790D573280,
-    0x337661F2BC257931,
-    0xA9B34B3B7CD7338C,
-    0x8819D8B5DCC68A4E,
-    0x1C124B719EBF4C2C,
-    0x049D83C40B0F1476,
-    0xD6192F96A300041C,
-    0xA30A54FCC2600313,
-    0x5B3FA6EAB6383435,
-    0xCCDF9CE8AB1B9437,
-    0x5A7C52EAEECB74EF,
-    0xF1CE35DE1FE1B39C,
-    0xA4E56B72A20125FB,
-    0x68046AFD7EBC0140,
-    0x71BBC13A1EDF9491,
-    0x4EB95E916534E8EA,
-    0x293B07D59E84FC77,
-    0xEFB12D0A3CCB8E53,
-    0x604538CFFAB89097,
-    0xF8F4E74CECA29146,
-    0xC9E03A8812FE9E77,
-    0x6032F10A4CBC221F,
-    0x31EF75EA026FE2C0,
-    0x5A915589AEA890CA,
-    0x6C2EB3FBE1523BAE,
-    0x86C51235C8885831,
-    0x6FA969647F37D2B2,
-    0x696F5E561A547A27,
-    0x8F6AFD3CC6E37D9C,
-    0x0843EA32496216C6,
-    0x51A015C140F947E3,
-    0x1B77785E7BB19C8B,
-    0x321828F3FB4FF5FF,
-    0xA66B2E54D19D1AA4,
-    0x89A2D8F79BAA2564,
-    0x825F07AD88C82B3A,
-    0x8081DCFB2A2274C7,
-    0x3FB809E66FC311B6,
-    0x744B09717B72B31A,
-    0x5A6C975502268A09,
-    0x54A033C8347424FC,
-    0x189121E77C9533BD,
-    0xB2C8FAE0641D4420,
-    0x9DCE969C39683B83,
-    0x1538F479946062EA,
-    0x14A1E3736DA6FA85,
-    0x930869EC6D026B59,
-    0xDA906953767B7366,
-    0x67AC520ADE486A2E,
-    0x405DE04C1F14863F,
-    0x2CA78ECE391CEFDF,
-    0xBB7C09BDC64D6488,
-    0xB9F375D698CD3B24,
-    0xC2AD66EE903E9A99,
-    0xC4795EE59DBB9EDD,
-    0x82D6FD5B3B20D3E3,
-    0xF932AE07435D9AD1,
-    0x802D42A42D8B06BC,
-    0x28CB6E78D345A4C0,
-    0x9EC411EED6DB0FCF,
-    0x5C94E41B600A1211,
-    0xE6AB47EF915B077C,
-    0x71F2FEFE67D4CFC8,
-    0x9C7D971DB9A6BCAC,
-    0x0D15376FAC286C55,
-    0x41C3BBB272C9E2DD,
-    0x153E70E0D3692317,
-    0x244FA227CD29BC23,
-    0x251775DFF592B83F,
-    0xE2C3ACAC2A667DE8,
-    0xCDE797FFFD12E67D,
-    0x9C7DB659D1D8DD54,
-    0x0E30C06A4143A715,
-    0x993F13A011456446,
-    0xE5E50035D6F98C6B,
-    0x1C3DE99CE662CA7B,
-    0x59F4C9D4BDFB03A5,
-    0xF879EDF76C8A33A8,
-    0x37D93FBD0B347971,
-    0xAD84604C8F706F2D,
-    0x29F1D20880F36810,
-    0xB3089D94C39AD088,
-    0x992C4990D022910B,
-    0x63A05DC96EE3C8A1,
-    0x3876EF82910284FA,
-    0xDFDBE6F420552133,
-    0x692C31130D2BC372,
-    0x8F09912B1FFA349F,
-    0xEE1E4C44B1C14CA0,
-    0xE186B2DD084311B7,
-    0xA53ABB690061232D,
-    0x7B0CCDAA453C4028,
-    0x9D56B532B73253F0,
-    0xB571D9D5E947111C,
-    0x3944EA1E92C0C5BD,
-    0x82DB1ADC67D4B9A6,
-    0xA6092CC70334F011,
-    0x417007998B7764B9,
-    0x0CEB5C8D97CB89F6,
-    0x0341B84D8ABF120A,
-    0xBDA2094C1C9E3FE5,
-    0x957B15E7BB2AE91B,
-    0xC637CF05C7EF9D23,
-    0x855AC4271ED1A275,
-    0x120550527F9FF1F0,
-    0x7F0DC691244FFCA9,
-    0x01AE0CDA902191F1,
-    0x843A0C14C2A94A51,
-    0x46284FC12470428E,
-    0x238AAD98D70CD43F,
-    0x3EE4AAB3D2D15557,
-    0x4CAD23249688236C,
-    0x2BB8A8B5D5FEA2C5,
-    0x1710069EC29EBFA3,
-    0x973FB8F560F57EB7,
-    0x8D93902CC80BE3B9,
-    0xA11AC1AA76B8BC25,
-    0xE147621F4683D52E,
-    0x790A0B9B0CAD1D51,
-    0x5C7D1EE6778FE1F6,
-    0xBB5518350342C614,
-    0x3B3EFC1EE2077B87,
-    0x1E4D8C5149022236,
-    0x477EC4CEDE7E4D6C,
-    0xD3110C6D4FDA15B8,
-    0x725678470AE88008,
-    0x19CB57BBF99F97FF,
-    0x619A3A3201243D3B,
-    0x0101F4646D658FC3,
-    0x5CD01192545CCBF4,
-    0xD5E052AE426120A0,
-    0x58AA38C508B90C17,
-    0xC60A5B49EE6DBE51,
-    0x81F2DCE17D900442,
-    0xA83FB90F674505D3,
-    0xAAAEEEFF3998FE8D,
-    0x4C76330DBE82D109,
-    0xF2267537276458A4,
-    0x6BC0DCB6DFB39737,
-    0xF7CFDE490A9BF347,
-    0x1D0D4C30D334A680,
-    0x7E97E14B0E742F1A,
-    0xF9589AB85188C098,
-    0x8CDEC9B2EF6F937A,
-    0xAC678FBBE03C5ECC,
-    0x3B7229DEA5067F34,
-    0x81439D93D6EB9AD3,
-    0xA3B4E1460EEF9D83,
-    0x93D3B63E8182486E,
-    0xE1EC2FD6E2DD54CB,
-    0xC8C995BB7EA706A3,
-    0x0D3249B7D6BF1132,
-    0xFFFA527941BD745B,
-    0x6887B5685874B1EC,
-    0x9C26D293A06B4EB5,
-    0x0552B7F4024A73AF,
-    0x16ADA172C48F8806,
-    0x60D48F841DD8504B,
-    0xEBD11284D04BDCCC,
-    0xA6A76D0898F86D8B,
-    0x44CBB7D3D2E8FD31,
-    0x7D59384B872BE879,
-    0xA2D96174257E87E8,
-    0x7429F12B5389433A,
-    0x3BFE4421DE87C1C0,
-    0x452929ED35547408,
-    0xA8AA98416CB78ACA,
-    0x78AF6D97982D10EB,
-    0xE16095CE7AC16639,
-    0x198C81310C243D04,
-    0x45015926AA3D31E4,
-    0x64DFD7CE718054E3,
-    0xDEA87A4BFB16DC55,
-    0x6A6A4B2DAA810E00,
-    0xC1959452539B64FF,
-    0xF97DEF210AF0E272,
-    0x0D8DF33D47EC1F08,
-    0xC3A92875DB86F41F,
-    0x0699ED10B9A24C78,
-    0x9A82D1935022C948,
-    0x34EE95D22752D749,
-    0x5FDE1FB92D523CBA,
-    0xFED5FDF1008E5998,
-    0xE1155B2CD0C1242F,
-    0x48EB80ABB546993F,
-    0x3994431CE2B9FAD3,
-    0xA2CB1AE6CC686723,
-    0x92E50F10AB9F619E,
-    0x53B75AA0F5393152,
-    0xA1A95A72EE35E5C0,
-    0xAB400F374EFBB83B,
-    0x5AC6A62C307A4E35,
-    0x0D6554889515685E,
-    0x47AAA7E35D7B1A00,
-    0xD31DA81EC2B7ED34,
-    0x43B1A45A143B4D31,
-    0x085C2E75B1C89A52,
-    0xC5A6E9A4E2426128,
-    0x6B0F828B010F6816,
-    0xBB4B1267DFA79B98,
-    0xA5ABF2345A197D59,
-    0xE3534103D9EAF6ED,
-    0x65CCCB686AF3AAED,
-    0x72CDFE0CA0549B19,
-    0x89474D64CE4AE52D,
-    0xC88331198789C987,
-    0xDE16BCD5F534A792,
-    0x6D7F742D7B064C27,
-    0x852E1304FA460E36,
-    0x12612928211F3EA0,
-    0x269F859CA52FE2FD,
-    0xF024159CF8033ABD,
-    0xFA3F8FD3D82EC1F6,
-    0xEB8120B69586BACA,
-    0xF3BFF0686D439CA4,
-    0xF514C538328757D3,
-    0xAA7E84BDB7D53B2A,
-    0x8E883521F78C5C32,
-    0x3DBCA8659F6CA215,
-    0x15D56C4B690E1B1E,
-    0xDA8EAA0AAF129DD6,
-    0x1211AABDF449F46C,
-    0x33C664EF41CF55BD,
-    0x6D93A7A2FC5CF693,
-    0x0F6BE89EA1E36052,
-    0x282A228555CE7E38,
-    0xC271E6DB2923692E,
-    0xC227A0A9F214CBAA,
-    0x6BA9526B8A2FBC0B,
-    0x763676C441DEB446,
-    0xB4373485B1FEEDFB,
-    0x7FC8014BCA3E3401,
-    0x8A0C78373A755440,
-    0x952A774C38A92602,
-    0x8011D85F1E153F4F,
-    0x3AD81FD263470BCD,
-    0x986466044AEF5E32,
-    0x4F2C4C9B5E0B2E2C,
-    0x3DCFE37DBA1D2365,
-    0x357F03BE3D33543C,
-    0xDB6FFF261CF397F7,
-    0x8E4ECAD4F4F425E0,
-    0x92D4276FF0089D30,
-    0x103A0F9DC807401D,
-    0x37354D7B19B5D8A2,
-    0xF80AB803B46034B0,
-    0xDFD5C8A7613E0F19,
-    0x32EE34193DBD3AC2,
-    0xD41A0AFBC2078359,
-    0xDDD614C3B4419A58,
-    0xA30066479E90F298,
-    0x5FFD564A66FDB7D0,
-    0x6DA69C0D4DFBD6C2,
-    0xE0AC70A448AF3A44,
-    0x0820048EC3F5073F,
-    0x3FECC7E2565BB5A4,
-    0x5831CC9635D47050,
+    0x4C57EC1FFAAE3823,
+    0xA46A46508B590AF7,
+    0x0899F07D7E2722B5,
+    0xF5CA3A053D846270,
+    0xA8EA65506495A88D,
+    0xA8A63CDDDF3268F9,
+    0xD0983A060839E47B,
+    0x125340D793DC6087,
+    0x3DF73DF3EEBD03C6,
+    0x4C3C1E4CB936D107,
+    0x6AAFC433F1B30CCF,
+    0x84471CB79F32408C,
+    0x8BA5CCA246BC619D,
+    0x1DDA34BE3C27BAA3,
+    0x9F901E7173E58E66,
+    0x1D8D2CE3E8D5A0BE,
+    0xB863EBB5F4D35729,
+    0x5AB258F6CD4C8230,
+    0xBC1A8B08E43DB343,
+    0xA0A7BF2853AC43F3,
+    0x966F908D0E5CB63A,
+    0x057B7307010551EB,
+    0x940091FF44BE27E9,
+    0x0B689B6928477C8F,
+    0x317FACC7666E5EFD,
+    0x5B1B3C9AA72B008E,
+    0x650D3C89EDDD9385,
+    0x0BEAE0EECC0ADEE6,
+    0xE924889071AC65EF,
+    0x4AE145B5C9F227C0,
+    0x532A9D55E9B36C84,
+    0x6BB9E9FE858873DA,
+    0x308D70292C6A996A,
+    0x842F68714BBAB4C7,
+    0x7BE6C7038991F6FE,
+    0xA750FB0D2C3D85B2,
+    0xC1A72AE05754E609,
+    0xE7CBC306C6B3C721,
+    0x198C6960A208EB27,
+    0xB79557C2F3E70DE8,
+    0x28B9BA37129F08E4,
+    0xBC6DC64FE9F9B100,
+    0x0ECA701610F0D1A1,
+    0xCFD8405998A1DD77,
+    0xF3C5D7987823EE65,
+    0x03B87756E0FBE83A,
+    0x9C3A4FFBEBCFF439,
+    0x2767923666AA9AD8,
+    0x24F50E086B784E39,
+    0xD8622D8C30755DDB,
+    0xDD621FCC5C70376F,
+    0xA60B0ED6A8C7BE42,
+    0xB441997378BDF48B,
+    0xE7C0D9BCF3E131DB,
+    0x18D25B7F60779E69,
+    0x978B3A0520A83297,
+    0x976276357470798B,
+    0xFC8D9782577C24E1,
+    0xCA6EAE57EE1FD467,
+    0xBE491BC79C52E4F5,
+    0xF320FD377602A3E3,
+    0x21F9FDB541E98041,
+    0xBA3502B3F5B2A6A5,
+    0x17EFBBF1553EF48F,
+    0x3EFF272DC52AC010,
+    0x3A9A0E181C1F3A05,
+    0x6AA5F3A6888D8F4B,
+    0x9C5AD8E13A4C4343,
+    0xD7B6705590C974DB,
+    0x7506052D0B81D80A,
+    0x0E18BABE54F82A78,
+    0x69699A9682DADA79,
+    0x01342BEF4B9543CE,
+    0x5E68ABD7D1E44D08,
+    0xA8C6FD6DFBBE5422,
+    0xF1209CC9D49CC807,
+    0x98464D69BC293BC5,
+    0x9D98AC790DD21BF9,
+    0xE5E0D72F9052D578,
+    0x48D6811890CAD5FB,
+    0x064C7ECB557BC37F,
+    0x8394F74FF5776130,
+    0xA20D2F78FC651C77,
+    0x46555EB29F2A37D7,
+    0x8C1E26B00E69F5D4,
+    0xFA3A27B5AEF25087,
+    0xC4F9D5041BC67F31,
+    0x0B33EBED1D3D044B,
+    0x6AAA0BCD54A658E8,
+    0x4890C1287CF6B00A,
+    0xD1D6CD3D9D7B2485,
+    0x5BCB30962DE55FB6,
+    0x98CFA3E0E0F3FAF8,
+    0x2D3A2F59719C6511,
+    0xD909CE40406D3F8E,
+    0x1C3F2A88846DB7C1,
+    0xD45F0FE2456D24D9,
+    0xBDFFA93B6281FC38,
+    0xC3A49212A9D9987A,
+    0xAC4D4CD282C58C64,
+    0xEA18A876CCF9F872,
+    0x757DCCB829396413,
+    0xC1ECF8310D48CD9F,
+    0x2072A87D4051C580,
+    0x7C95B85DA3F52B64,
+    0xAB48E54F6918E6D3,
+    0x29927CA139FCC597,
+    0x440C3BF15A6078A9,
+    0x2333CE21499AA74B,
+    0x1B6001D5B7088A27,
+    0xF15AA170C111A5CA,
+    0xD765760CB800BBC5,
+    0x9DC6B56A3698C86C,
+    0xEBF258033FCEE10A,
+    0x2E6320F84CF11E4D,
+    0x092DE4ABF907E718,
+    0x7EFF2F8F5307F702,
+    0xC8F2F3772ACBC4DA,
+    0x312DCBE77E4C73F3,
+    0xE8922A93C6FD10EC,
+    0x6242113BAEB47C5A,
+    0xED3BF8F231A83E92,
+    0xEB91E68B8DB58818,
+    0x4846EEB228C63FC0,
+    0x3A06A768A5AC1A29,
+    0xE29A86B765FC2FAD,
+    0x463A85E22997B5A4,
+    0xBC1402FCB30E085B,
+    0xE718988A33B77FAA,
+    0xD5387ECA5169C5D1,
+    0xB50639112B90B18B,
+    0x402B70131998FFBF,
+    0xAD1ED48D9E281657,
+    0x328378BE2D83B712,
+    0x3D684C12EAD02BE7,
+    0x73B07BD60D1462F3,
+    0x6D700998472C6500,
+    0xFDA33A1C03C1300B,
+    0x2D17D22D1082A723,
+    0x14AA31216FFA7307,
+    0x57C2018342ED3E37,
+    0x9C32324D83260A67,
+    0xAD6C561C097B3F05,
+    0x250E64A7708050DC,
+    0x51CD6CB2B8E907F3,
+    0xFE36903CE972711D,
+    0x5CFA09E68B40A852,
+    0x6729DAFFB0BBF106,
+    0xDDCC9D4010F43E69,
+    0x26ECC11F3BFAAE83,
+    0xB6E01F20C6E3C0E7,
+    0x80A1CBED7530EEA7,
+    0x085EB1AF16B48800,
+    0x58DA9A88D6555596,
+    0x94B58DD85EAFFF2E,
+    0x6A402B9CA20B381E,
+    0xCF2CAC57C4791EA5,
+    0x295FC4509C111D98,
+    0xDBD07B8360BA114E,
+    0xD63641854D10BC7C,
+    0xA0A547DA2B230A92,
+    0x97042965C18BD5A7,
+    0x92A31AA11FCC43D7,
+    0xDDD1E4D5C32D6535,
+    0x7D99E67C23708BE1,
+    0xC601AF4037D8DB4E,
+    0xB0673A5D451E3152,
+    0xC322610C513CA253,
+    0x3AC7167D164887F4,
+    0x7E3C2F1559653A60,
+    0x4E54FD36A36F9D8F,
+    0x04D9231F365A3730,
+    0x30F155B78B7C6104,
+    0x41BC1F3315F927C3,
+    0x4EE398CD787BFBC5,
+    0x8912A267076B3B4F,
+    0x57406B0A0D166C56,
+    0x048C4CAD4FC7FC20,
+    0xC06DC47C2D5E4B85,
+    0x80C824F1CF428244,
+    0x642EC4153C9965CC,
+    0xC44CD29C074E48FD,
+    0x476CCC25B2AD35DF,
+    0x19E2AC0EB397C046,
+    0x8C762CFE61E3ABD9,
+    0x3883D273D8571FCE,
+    0xCE18BC1E154CA8D0,
+    0x894FA4FEAED99A44,
+    0xD69AB4D63DCA18D9,
+    0xE685BC2F5DE3F32E,
+    0x3190303C91F456E4,
+    0x9AA94C7B6672A9C1,
+    0x8F5C35209A668ABE,
+    0x77C827C0335C63C8,
+    0x5DFE2E42616843A6,
+    0xD8F5CEDDF757680C,
+    0x2814F037F11D1A7E,
+    0x10B677239D52DECE,
+    0x25BB4C652C59212E,
+    0x2D1FDB57FFD46090,
+    0x831FA0FB0E23EF4A,
+    0x919180C1CE5EF3BA,
+    0x1E4886AD40CC0EA5,
+    0x1DA19279FAF1F5D2,
+    0x2512A4C719C423E3,
+    0x8D319995FCCCCEE1,
+    0x85681BF6C6B6D53E,
+    0xCDB4F8077614E8A4,
+    0xC60E47CEC376818D,
+    0x9A0282D28D1D4823,
+    0xE979916479C96198,
+    0x1DCB6A2142E20700,
+    0x283E79DE0EE17D15,
+    0xC58A4ABBD634E9EE,
+    0x0589A742CD081FB3,
+    0xD3D1342801FDA9F2,
+    0x1B6351BD3032F4A0,
+    0xBA41B25CDF3186B6,
+    0x8F02C28B6683F911,
+    0x06D71945698A6044,
+    0x6380A52799CDADAA,
+    0x46909BB5DF7010C6,
+    0x5A9071814A3E0961,
+    0xF748BFAF25043F99,
+    0xE66716C1371380FA,
+    0x7AD17D1D44EBA67C,
+    0x3674B0CA15D51CE0,
+    0x5E87057E8CD39536,
+    0x4847865A085517A8,
+    0xD33E733A2FEE10FC,
+    0x2EF82F193E998C4B,
+    0x5B773C670FD46CEE,
+    0x06A41EC5B66C54AD,
+    0xBEFBAD7E38750813,
+    0x7D0DDCEE774DB2DC,
+    0xF4AF8F77BCDF12F7,
+    0x9CFAC4C90C0DBFA4,
+    0x0A2CB5A1794035C4,
+    0xCF9FB3B9BEC226B1,
+    0x3B8A32475D8E3635,
+    0xAA3D0EFAD5E5EF90,
+    0x83755344C529D74E,
+    0x97C6A4F8ECE0D1AF,
+    0xB2374D8C03D471C0,
+    0x7950A468F47AC552,
+    0xFC28C69FD5CD0ED2,
+    0x82D47ED2025B647F,
+    0x1FB8999751B0058F,
+    0xFE8BBFB0E97907F1,
+    0xAC770156B1021F38,
+    0x7B2005D460DF6762,
+    0xD5222B91F5721FF0,
+    0xA5E78D494D3E800C,
+    0x0ADBAA4DCF1B3AFE,
+    0xDEAA28632D416969,
+    0x97600311B873668F,
+    0x3C25D3BC689985FE,
+    0xB567F478260E2AAB,
+    0x3DFBB91E32DFCC5D,
+    0x9EA189983DFBD837,
+    0x997A97994F3AA1BC,
+    0xD59C6572E656F061,
+    0x639034BA0841A084,
+    0x30E6D8DD4D348426,
+    0x59FA972DF76125FA,
+    0x4A329532B20DAF1C,
+    0x7CEFEDD123909013,
+    0x1597D2683BC318FC,
+    0x753009FDD3A5F325,
+    0xF9F41C4A60744D42,
+    0x77891AD99A99A1E6,
+    0x27EF4F6FAA76A4CE,
+    0x613892F371924EEB,
+    0x77084A69A4EBE1B3,
+    0x95E4AB31F84CF983,
+    0x8F15650D387D0686,
+    0xBEB1482B8DA7B1C1,
+    0xC46C7BC3C5EC7838,
+    0x6765B1096AAFD5FA,
+    0xF46B7CCF6608BE8D,
+    0xB5EAA5EAFB9F6BC4,
+    0x9921D4E77E2DB53F,
+    0x1AED86F9F4FC5C57,
+    0x6C375EA3583AA9E2,
+    0x5B5C5E5A5C734E04,
+    0xAA0580EF034735C4,
+    0x63FBFCD5C2AA0711,
+    0x9E7728B53BCE5CC9,
+    0x814B1399C7D5EEC4,
+    0x37F7DC7BC5E63FC7,
+    0xCB641F9ECD406F9D,
+    0x514A8A5905A13280,
+    0x87206CE6DA5FFA17,
+    0x6937F96A9675F026,
+    0x4C605D274A03E503,
+    0x519A83AFDA59A8F2,
+    0x67B4AA69EB26028C,
+    0xD90783CAECDC8726,
+    0xA20A485BD4982AEA,
+    0x7C1E876892E8AFA9,
+    0xB0EA72D8B8C45BE8,
+    0xCEA39A9E02650EAD,
+    0x7C27D8678D583501,
+    0xA451BB566F38E62B,
+    0x63C4CF41494F92D5,
+    0x22E6543E7318B3BF,
+    0xE9802A70ED8748EF,
+    0x93979507C2210F0B,
+    0x77A08C59A2CDA2FD,
+    0xC5423BB678AAB693,
+    0x6A5BC2B9EE7F798A,
+    0x97A15D7621A4FD86,
+    0x04DDE5E757EAF824,
+    0xAFB69A05ABDE3812,
+    0x9A20534AC4DF796B,
+    0x92858C1B07CEDB25,
+    0x8673EC6A5006EDDB,
+    0x8E0781215A43E3E0,
+    0xF461CE93F5DA684E,
+    0x2DE7C13FA86E0D9F,
+    0xE8B5F865F32A2526,
+    0x60AB4E057E9D714A,
+    0x59CA55054E7A313E,
+    0x3028B8F3F421BA21,
+    0x2F71B60C24F9E02E,
+    0xA5AB0C406F2ED155,
+    0xC1DBDF58B9DDE946,
+    0x2637232DE3E98E08,
+    0x91CED3624682FDFD,
+    0x63AAD5DCF638F4FF,
+    0x953B50E2B1F3AB89,
+    0x958371E2FBA3AA75,
+    0xA8642104CC0D8EEF,
+    0x139D24E34F791457,
+    0x831B921CAF3B6195,
+    0x27E02F4F73FA0290,
+    0x04F4301DACFA995D,
+    0x6A6239E60EF3E1C3,
+    0x8BE6D5FEB971D66A,
+    0xF6D93E048F4AA4C6,
+    0x6518128AB83D21E6,
+    0x0908C34080CC1952,
+    0x17C24ADEAB69382B,
+    0x0A786D9C8F42234A,
+    0x4E143681FA9C93E9,
+    0x22C8FDF2687C2547,
+    0x71DE99F1FFEDEC5D,
+    0x07F0422702B6FFD1,
+    0x1691D9F63113EB30,
+    0xCCEE73ACF41D1474,
+    0x81364879FAEE3971,
+    0xADA0ADF438879F69,
+    0x96D7BAF821AE601B,
+    0xF1ABA5677EE9FD7C,
+    0x4074E46E12F1334E,
+    0xC54E95926F4ACB18,
+    0xF8478659E0E9929C,
+    0xAA2C8005617D5436,
+    0x7B72C25E6854AE7E,
+    0x08992BD310723F13,
+    0x58D3E17A41FDAE2D,
+    0xE3ACCC84DC212427,
+    0xDD97861EFA3513CB,
+    0x6845789ED93ABCBB,
+    0x779787CECAD163FA,
+    0xAA752BC19454CDB5,
+    0x92879C954665E25B,
+    0x7AF8196B0D8804D3,
+    0x7D99E9B88E6679FD,
+    0xAF62DDBB3223657D,
+    0x2FA27E6E98A1FD16,
+    0x49A316CC92E4E442,
+    0xE09F8203C78A24EC,
+    0x00CDB06656DB5A93,
+    0x776D50F2CF8EA733,
+    0xA74765B6B66A25F7,
+    0x016C403BB074CAD4,
+    0x0EB6F77A0E992090,
+    0x68E97CF4F3448781,
+    0x4D45FC86E242EB59,
+    0xCF1AF2904F8BCE95,
+    0xF4467458A809A826,
+    0x559673706C16A12F,
+    0x2255A6B0A5CC0DC5,
+    0x1A72A1085D49FA6C,
+    0xDA8BBDEBFA8C34E6,
+    0xD77AD27CDE2C9860,
+    0xD3F3177552263468,
+    0x672D7DFB012A2163,
+    0x2E782EDC9C233AE7,
+    0x8B3DD947DBF2234B,
+    0x003E98D157F51C04,
+    0x137890E62A60FA78,
+    0x4B08C11E4683DE1F,
+    0x0CCD7CB55731322E,
+    0xAD3F64F997589522,
+    0xFDCFB00438677230,
+    0x59B213937D4481C5,
+    0x2118D8B152E67DCF,
+    0x2E3848D202032D32,
 ];
