@@ -1144,9 +1144,12 @@ struct Core {
     busy_integral: StepIntegral,
     kv_integral: StepIntegral,
     host_integral: StepIntegral,
-    tbt: TimeHistogram,
-    /// Per-class TBT streams and arrival counts (keys are the classes seen).
-    tbt_by_class: BTreeMap<PriorityClass, TimeHistogram>,
+    /// Per-class TBT accumulators indexed by the class value, `None` for a
+    /// class that has not yet emitted a span or a token after its first.
+    /// The group TBT stream is not kept: it is the merge of the class
+    /// streams, built once in [`into_outcome`](Self::into_outcome).
+    tbt_by_class: Vec<Option<ClassTbt>>,
+    /// Arrivals per class (keys are the classes that arrived).
     submitted_by_class: BTreeMap<PriorityClass, usize>,
     /// Eviction outcome counters and stall accumulators.
     recomputes: u64,
@@ -1171,6 +1174,38 @@ struct Core {
     slo: Option<Time>,
     tokens: u64,
     tick_events: u64,
+}
+
+/// One class's time-between-tokens samples while a run is in progress.
+///
+/// The pipeline emits a resident's tokens one `token_interval` apart, so
+/// almost every gap is that one value: those are only counted, and folded
+/// into the class histogram with one `record_n` at outcome time. A gap off
+/// the cadence (a resume gap after a preemption, swap or handoff) goes into
+/// a histogram that is allocated on the first such gap.
+#[derive(Debug, Default)]
+struct ClassTbt {
+    /// Gaps exactly one `token_interval` long.
+    on_cadence: u64,
+    /// Every other gap.
+    off_cadence: Option<TimeHistogram>,
+}
+
+impl ClassTbt {
+    fn record(&mut self, gap: Time, interval: Time) {
+        if gap == interval {
+            self.on_cadence += 1;
+        } else {
+            self.off_cadence.get_or_insert_with(TimeHistogram::new).record(gap);
+        }
+    }
+
+    /// The class's full TBT histogram.
+    fn into_histogram(self, interval: Time) -> TimeHistogram {
+        let mut h = self.off_cadence.unwrap_or_default();
+        h.record_n(interval, self.on_cadence);
+        h
+    }
 }
 
 /// A pending shared-pool claim: the KV context of a handed-off request,
@@ -1217,8 +1252,7 @@ impl Core {
             busy_integral: StepIntegral::default(),
             kv_integral: StepIntegral::default(),
             host_integral: StepIntegral::default(),
-            tbt: TimeHistogram::new(),
-            tbt_by_class: BTreeMap::new(),
+            tbt_by_class: Vec::new(),
             submitted_by_class: BTreeMap::new(),
             recomputes: 0,
             swaps: 0,
@@ -1372,19 +1406,28 @@ impl Core {
     /// [`emit_token`](Self::emit_token) calls. The span must end strictly
     /// before the request's final token (the caller's decision solver
     /// guarantees it), so completion never needs checking here. The
-    /// time-between-tokens mass lands in one `record` (the resume gap, if
-    /// any) plus one `record_n` (the `count - 1` on-cadence gaps).
+    /// `count - 1` gaps inside the span are on the cadence and only bump the
+    /// class's counter; the resume gap before the span, if any, is counted
+    /// the same way when it is on the cadence and recorded otherwise.
     fn emit_span(&mut self, q: &mut QueuedRequest, first: Time, count: u64) {
         self.tokens += count;
         let interval = self.token_interval;
         self.window_end = self.window_end.max(first + interval.times(count - 1));
-        let class = self.tbt_by_class.entry(q.spec.class).or_default();
-        if let Some(gap) = q.apply_token_span(first, interval, count) {
-            self.tbt.record(gap);
-            class.record(gap);
+        let gap = q.apply_token_span(first, interval, count);
+        let class = self.class_tbt(q.spec.class);
+        class.on_cadence += count - 1;
+        if let Some(gap) = gap {
+            class.record(gap, interval);
         }
-        self.tbt.record_n(interval, count - 1);
-        class.record_n(interval, count - 1);
+    }
+
+    /// The TBT accumulator of `class`, created on its first use.
+    fn class_tbt(&mut self, class: PriorityClass) -> &mut ClassTbt {
+        let i = usize::from(class.0);
+        if i >= self.tbt_by_class.len() {
+            self.tbt_by_class.resize_with(i + 1, || None);
+        }
+        self.tbt_by_class[i].get_or_insert_with(ClassTbt::default)
     }
 
     /// Fast-forwards one replica's residents (`members`, in admission
@@ -1440,9 +1483,8 @@ impl Core {
             q.first_token = Some(t);
         }
         if let Some(prev) = q.last_token {
-            let gap = t.saturating_sub(prev);
-            self.tbt.record(gap);
-            self.tbt_by_class.entry(q.spec.class).or_default().record(gap);
+            let interval = self.token_interval;
+            self.class_tbt(q.spec.class).record(t.saturating_sub(prev), interval);
         }
         q.last_token = Some(t);
         q.progress >= q.spec.decode
@@ -1554,14 +1596,24 @@ impl Core {
             tokens: self.tokens,
             admissions: self.scheduler.admissions(),
         };
+        // Every gap belongs to exactly one class, and merging adds counts
+        // and sums and takes min/max, so the merge of the class histograms
+        // is exactly the group's TBT stream.
+        let interval = self.token_interval;
+        let mut tbt = TimeHistogram::new();
+        let tbt_by_class: Vec<(PriorityClass, TimeHistogram)> = (0..=u8::MAX)
+            .zip(self.tbt_by_class)
+            .filter_map(|(class, acc)| {
+                let h = acc?.into_histogram(interval);
+                tbt.merge(&h);
+                Some((PriorityClass(class), h))
+            })
+            .collect();
         // The merge-facing populations are cloned out before RunTotals
         // consumes them: per-group histograms must survive in the outcome
         // so the cluster can fold them order-independently.
-        let tbt = self.tbt.clone();
         let submitted_by_class: Vec<(PriorityClass, usize)> =
             self.submitted_by_class.into_iter().collect();
-        let tbt_by_class: Vec<(PriorityClass, TimeHistogram)> =
-            self.tbt_by_class.into_iter().collect();
         let report = ServingReport::from_records(
             &self.records,
             RunTotals {
@@ -1580,7 +1632,7 @@ impl Core {
                 host_pool_tokens: self.spill.host_pool_tokens,
                 host_kv_peak_tokens: self.host_peak,
                 host_kv_utilization,
-                tbt: self.tbt,
+                tbt: tbt.clone(),
                 submitted_by_class: submitted_by_class.clone(),
                 tbt_by_class: tbt_by_class.clone(),
                 slo: self.slo,

@@ -15,8 +15,10 @@
 //! 2. a `GroupSim` fed window by window over a drawn epoch (0.7 ms, 50 ms
 //!    or 1 s) reproduces the batch run's `GroupOutcome` exactly;
 //! 3. conservation: every request completes exactly once or is rejected,
-//!    every generated token is accounted for, and the host pool bound
-//!    holds;
+//!    every generated token is accounted for, the host pool bound holds,
+//!    and the TBT histograms agree with an oracle built from the completion
+//!    records alone (sample counts, the telescoped mean, per-class counts,
+//!    group = merge of classes);
 //! 4. a committed FNV-1a digest of the span engine's `GroupOutcome`
 //!    (report, stats, completion records, and the raw group and per-class
 //!    TBT histograms and submission counts), so any change to what the
@@ -33,16 +35,17 @@
 //! digest table with
 //! `CENT_PRINT_SERVING_DIGESTS=1 cargo test --test serving_engine_equivalence -- --nocapture`.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use cent_cost::KvSwapCost;
 use cent_model::ModelConfig;
 use cent_serving::{
     ArrivalProcess, ClassMix, DeadlineAware, GroupOutcome, GroupSim, KvBudget, KvMode,
-    KvSpillConfig, KvSpillMode, LengthSampler, RequestSpec, SchedulerConfig, ServeOptions,
-    ServingSystem, ShortestRemainingDecode, TickEngine, Workload,
+    KvSpillConfig, KvSpillMode, LengthSampler, PriorityClass, RequestSpec, SchedulerConfig,
+    ServeOptions, ServingSystem, ShortestRemainingDecode, TickEngine, Workload,
 };
-use cent_types::{ByteSize, Rng64, Time};
+use cent_types::{ByteSize, Rng64, Time, TimeHistogram};
 
 /// Cases drawn by the generator.
 const CASES: usize = 400;
@@ -200,11 +203,54 @@ fn check_conservation(index: usize, case: &Case, out: &GroupOutcome) -> Result<(
         && r.decode_tokens == decode
         && out.stats.tokens == decode
         && r.host_kv_peak_tokens <= case.pool;
-    if ok {
-        Ok(())
-    } else {
-        Err(format!("case {index}: conservation violated"))
+    if !ok {
+        return Err(format!("case {index}: conservation violated"));
     }
+    check_tbt(index, out)
+}
+
+/// An oracle for the TBT populations that shares no code with the engines:
+/// a completed request contributes `decode - 1` gaps, and because they
+/// telescope they sum to `finished - first_token` whatever preemptions,
+/// swaps or handoffs split them. The group histogram must hold exactly
+/// those samples, each class histogram its own class's, and the group
+/// histogram must be the merge of the class histograms.
+fn check_tbt(index: usize, out: &GroupOutcome) -> Result<(), String> {
+    let mut gaps = 0u64;
+    let mut span_ps = 0u128;
+    let mut by_class: BTreeMap<PriorityClass, u64> = BTreeMap::new();
+    for rec in &out.records {
+        let n = rec.spec.decode as u64 - 1;
+        gaps += n;
+        span_ps += u128::from((rec.finished - rec.first_token).as_ps());
+        *by_class.entry(rec.spec.class).or_default() += n;
+    }
+    let mean =
+        if gaps == 0 { Time::ZERO } else { Time::from_ps((span_ps / u128::from(gaps)) as u64) };
+    if out.tbt.count() != gaps || out.tbt.mean() != mean {
+        return Err(format!(
+            "case {index}: TBT holds {} samples of mean {:?}, records imply {gaps} of mean {mean:?}",
+            out.tbt.count(),
+            out.tbt.mean()
+        ));
+    }
+    let mut merged = TimeHistogram::new();
+    for (class, h) in &out.tbt_by_class {
+        merged.merge(h);
+        if h.count() != by_class.get(class).copied().unwrap_or(0) {
+            return Err(format!(
+                "case {index}: class {class} TBT count disagrees with its records"
+            ));
+        }
+    }
+    let listed = |c: &PriorityClass| out.tbt_by_class.iter().any(|(k, _)| k == c);
+    if by_class.iter().any(|(c, &n)| n > 0 && !listed(c)) {
+        return Err(format!("case {index}: a class with TBT samples has no class histogram"));
+    }
+    if merged != out.tbt {
+        return Err(format!("case {index}: group TBT is not the merge of the class histograms"));
+    }
+    Ok(())
 }
 
 #[test]
