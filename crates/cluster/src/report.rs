@@ -58,6 +58,40 @@ pub struct RouterImbalance {
     pub max_share: f64,
 }
 
+impl RouterImbalance {
+    /// Imbalance of the given per-group arrival counts.
+    fn over(submitted: impl Iterator<Item = usize>) -> Self {
+        let (mut groups, mut total) = (0usize, 0usize);
+        let (mut min, mut max) = (usize::MAX, 0usize);
+        for n in submitted {
+            groups += 1;
+            total += n;
+            min = min.min(n);
+            max = max.max(n);
+        }
+        let mean_share = total as f64 / groups.max(1) as f64;
+        if mean_share > 0.0 {
+            RouterImbalance {
+                min_share: min as f64 / mean_share,
+                max_share: max as f64 / mean_share,
+            }
+        } else {
+            RouterImbalance::default()
+        }
+    }
+}
+
+/// Fleet-wide TBT of one class: the merge of every group's histogram for it.
+fn class_tbt(outcomes: &[GroupOutcome], class: PriorityClass) -> LatencyStats {
+    let mut merged = TimeHistogram::new();
+    for o in outcomes {
+        if let Some((_, h)) = o.tbt_by_class.iter().find(|(c, _)| *c == class) {
+            merged.merge(h);
+        }
+    }
+    LatencyStats::from_histogram(&merged)
+}
+
 /// One group's row in the fleet report.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GroupRow {
@@ -230,24 +264,16 @@ pub struct FleetReport {
 impl FleetReport {
     /// Folds per-group outcomes (in group order) into the fleet view.
     pub fn from_outcomes(offered_qps: f64, outcomes: &[GroupOutcome]) -> Self {
-        let submitted: usize = outcomes.iter().map(|o| o.report.submitted).sum();
-        let completed: usize = outcomes.iter().map(|o| o.report.completed).sum();
-        let rejected: usize = outcomes.iter().map(|o| o.report.rejected).sum();
+        let mut report = Self::fold_groups(offered_qps, outcomes);
         let records = || outcomes.iter().flat_map(|o| o.records.iter());
-        let first_arrival = records().map(|r| r.spec.arrival).min().unwrap_or(Time::ZERO);
-        let last_finish = records().map(|r| r.finished).max().unwrap_or(Time::ZERO);
-        let makespan = last_finish.saturating_sub(first_arrival);
-        let decode_tokens: u64 = records().map(|r| r.spec.decode as u64).sum();
-        let prefill_tokens: u64 = records().map(|r| r.spec.prompt as u64).sum();
-        let tokens_per_s =
-            if makespan > Time::ZERO { decode_tokens as f64 / makespan.as_secs() } else { 0.0 };
-        let ttfts = SortedSamples::new(records().map(|r| r.ttft()).collect());
-        let latencies = SortedSamples::new(records().map(|r| r.query_latency()).collect());
-        let waits = SortedSamples::new(records().map(|r| r.queue_wait()).collect());
-        let mut tbt = TimeHistogram::new();
-        for o in outcomes {
-            tbt.merge(&o.tbt);
-        }
+        report.ttft =
+            LatencyStats::from_sorted(&SortedSamples::new(records().map(|r| r.ttft()).collect()));
+        report.query_latency = LatencyStats::from_sorted(&SortedSamples::new(
+            records().map(|r| r.query_latency()).collect(),
+        ));
+        report.queue_wait = LatencyStats::from_sorted(&SortedSamples::new(
+            records().map(|r| r.queue_wait()).collect(),
+        ));
 
         // Per-class fleet rows: counters and histograms merge per class
         // key; the latency populations come from the concatenated records.
@@ -255,7 +281,8 @@ impl FleetReport {
             outcomes.iter().flat_map(|o| o.submitted_by_class.iter().map(|&(c, _)| c)).collect();
         class_keys.sort_unstable();
         class_keys.dedup();
-        let classes = class_keys
+        let makespan = report.makespan;
+        report.classes = class_keys
             .iter()
             .map(|&class| {
                 let submitted = outcomes
@@ -267,12 +294,6 @@ impl FleetReport {
                 let of_class = || records().filter(move |r| r.spec.class == class);
                 let ttfts = SortedSamples::new(of_class().map(|r| r.ttft()).collect());
                 let lats = SortedSamples::new(of_class().map(|r| r.query_latency()).collect());
-                let mut class_tbt = TimeHistogram::new();
-                for o in outcomes {
-                    if let Some((_, h)) = o.tbt_by_class.iter().find(|(c, _)| *c == class) {
-                        class_tbt.merge(h);
-                    }
-                }
                 let row = |o: &GroupOutcome| {
                     o.report.classes.iter().find(|c| c.class == class).map(|c| c.deadline_hits)
                 };
@@ -283,7 +304,7 @@ impl FleetReport {
                     completed: of_class().count(),
                     ttft: LatencyStats::from_sorted(&ttfts),
                     query_latency: LatencyStats::from_sorted(&lats),
-                    tbt: LatencyStats::from_histogram(&class_tbt),
+                    tbt: class_tbt(outcomes, class),
                     deadline_hits,
                     goodput_qps: if makespan > Time::ZERO {
                         deadline_hits as f64 / makespan.as_secs()
@@ -293,44 +314,44 @@ impl FleetReport {
                 }
             })
             .collect();
+        report.imbalance = RouterImbalance::over(report.per_group.iter().map(|g| g.submitted));
+        report
+    }
 
-        let per_group: Vec<GroupRow> = outcomes
-            .iter()
-            .map(|o| GroupRow {
-                submitted: o.report.submitted,
-                completed: o.report.completed,
-                slot_utilization: o.report.slot_utilization,
-                kv_utilization: o.report.kv_utilization,
-                peak_queue_depth: o.report.peak_queue_depth,
-            })
-            .collect();
-        let mean_share = submitted as f64 / outcomes.len().max(1) as f64;
-        let imbalance = if mean_share > 0.0 {
-            RouterImbalance {
-                min_share: per_group.iter().map(|g| g.submitted).min().unwrap_or(0) as f64
-                    / mean_share,
-                max_share: per_group.iter().map(|g| g.submitted).max().unwrap_or(0) as f64
-                    / mean_share,
-            }
-        } else {
-            RouterImbalance::default()
-        };
-
+    /// The part of the fleet view that every topology folds the same way:
+    /// counters, the makespan, the TBT merge, the utilization spreads and
+    /// the per-group rows. The latency populations, the class rows and the
+    /// router imbalance are left empty; the caller fills them in from what
+    /// a request is in its topology.
+    fn fold_groups(offered_qps: f64, outcomes: &[GroupOutcome]) -> Self {
+        let records = || outcomes.iter().flat_map(|o| o.records.iter());
+        let first_arrival = records().map(|r| r.spec.arrival).min().unwrap_or(Time::ZERO);
+        let last_finish = records().map(|r| r.finished).max().unwrap_or(Time::ZERO);
+        let makespan = last_finish.saturating_sub(first_arrival);
+        let decode_tokens: u64 = records().map(|r| r.spec.decode as u64).sum();
+        let mut tbt = TimeHistogram::new();
+        for o in outcomes {
+            tbt.merge(&o.tbt);
+        }
         FleetReport {
             groups: outcomes.len(),
             offered_qps,
-            submitted,
-            completed,
-            rejected,
+            submitted: outcomes.iter().map(|o| o.report.submitted).sum(),
+            completed: outcomes.iter().map(|o| o.report.completed).sum(),
+            rejected: outcomes.iter().map(|o| o.report.rejected).sum(),
             makespan,
             decode_tokens,
-            prefill_tokens,
-            tokens_per_s,
-            ttft: LatencyStats::from_sorted(&ttfts),
-            query_latency: LatencyStats::from_sorted(&latencies),
-            queue_wait: LatencyStats::from_sorted(&waits),
+            prefill_tokens: records().map(|r| r.spec.prompt as u64).sum(),
+            tokens_per_s: if makespan > Time::ZERO {
+                decode_tokens as f64 / makespan.as_secs()
+            } else {
+                0.0
+            },
+            ttft: LatencyStats::default(),
+            query_latency: LatencyStats::default(),
+            queue_wait: LatencyStats::default(),
             tbt: LatencyStats::from_histogram(&tbt),
-            classes,
+            classes: Vec::new(),
             preemptions: outcomes.iter().map(|o| o.report.preemptions).sum(),
             swaps: outcomes.iter().map(|o| o.report.swaps).sum(),
             peak_queue_depth: outcomes.iter().map(|o| o.report.peak_queue_depth).max().unwrap_or(0),
@@ -340,8 +361,17 @@ impl FleetReport {
             kv_utilization: UtilizationSpread::over(
                 outcomes.iter().map(|o| o.report.kv_utilization),
             ),
-            imbalance,
-            per_group,
+            imbalance: RouterImbalance::default(),
+            per_group: outcomes
+                .iter()
+                .map(|o| GroupRow {
+                    submitted: o.report.submitted,
+                    completed: o.report.completed,
+                    slot_utilization: o.report.slot_utilization,
+                    kv_utilization: o.report.kv_utilization,
+                    peak_queue_depth: o.report.peak_queue_depth,
+                })
+                .collect(),
             degraded: None,
             disagg: None,
         }
@@ -399,7 +429,7 @@ impl FleetReport {
         slo: Option<Time>,
     ) -> Self {
         assert_eq!(roles.len(), outcomes.len(), "one role per group");
-        let mut report = Self::from_outcomes(offered_qps, outcomes);
+        let mut report = Self::fold_groups(offered_qps, outcomes);
         let of_role = |role: GroupRole| {
             outcomes.iter().zip(roles).filter(move |(_, r)| **r == role).map(|(o, _)| o)
         };
@@ -447,11 +477,6 @@ impl FleetReport {
         report.submitted = of_role(GroupRole::Prefill).map(|o| o.report.submitted).sum();
         report.completed = singles.len() + joined.len();
         report.prefill_tokens = prefill_records.iter().map(|r| r.spec.prompt as u64).sum();
-        report.tokens_per_s = if report.makespan > Time::ZERO {
-            report.decode_tokens as f64 / report.makespan.as_secs()
-        } else {
-            0.0
-        };
         // End-to-end latency: arrival to the *final* phase's completion.
         let end_latency = |prefill: &RequestRecord, decode: Option<&RequestRecord>| {
             decode.unwrap_or(prefill).finished.saturating_sub(prefill.spec.arrival)
@@ -513,19 +538,13 @@ impl FleetReport {
                         .map(|r| r.ttft())
                         .collect(),
                 );
-                let mut class_tbt = TimeHistogram::new();
-                for o in outcomes {
-                    if let Some((_, h)) = o.tbt_by_class.iter().find(|(c, _)| *c == class) {
-                        class_tbt.merge(h);
-                    }
-                }
                 ClassReport {
                     class,
                     submitted,
                     completed: lats.len(),
                     ttft: LatencyStats::from_sorted(&ttfts),
                     query_latency: LatencyStats::from_sorted(&lats),
-                    tbt: LatencyStats::from_histogram(&class_tbt),
+                    tbt: class_tbt(outcomes, class),
                     deadline_hits,
                     goodput_qps: if makespan_s > 0.0 {
                         deadline_hits as f64 / makespan_s
@@ -538,17 +557,8 @@ impl FleetReport {
 
         // The router only spreads arrivals over the prefill tier; judge
         // its imbalance there.
-        let prefill_submitted: Vec<usize> =
-            of_role(GroupRole::Prefill).map(|o| o.report.submitted).collect();
-        let mean_share = report.submitted as f64 / prefill_submitted.len().max(1) as f64;
-        report.imbalance = if mean_share > 0.0 {
-            RouterImbalance {
-                min_share: prefill_submitted.iter().copied().min().unwrap_or(0) as f64 / mean_share,
-                max_share: prefill_submitted.iter().copied().max().unwrap_or(0) as f64 / mean_share,
-            }
-        } else {
-            RouterImbalance::default()
-        };
+        report.imbalance =
+            RouterImbalance::over(of_role(GroupRole::Prefill).map(|o| o.report.submitted));
 
         let pool_occupancy = if log.pool_capacity_tokens > 0 && makespan_s > 0.0 {
             log.pool_occupancy_token_s / (log.pool_capacity_tokens as f64 * makespan_s)
