@@ -150,7 +150,10 @@ pub(crate) struct RunTotals {
     pub tbt: TimeHistogram,
     /// Arrivals per priority class (sorted by class; rejections included).
     pub submitted_by_class: Vec<(PriorityClass, usize)>,
-    /// Per-class TBT streams, aligned with `submitted_by_class`.
+    /// Per-class TBT streams (sorted by class). A class has an entry once
+    /// it emitted a fast-forwarded span or a token after its first, so the
+    /// keys can be fewer than those of `submitted_by_class`: a class whose
+    /// arrivals were all rejected or single-token has none.
     pub tbt_by_class: Vec<(PriorityClass, TimeHistogram)>,
     /// Latency SLO used for goodput accounting, if any.
     pub slo: Option<Time>,

@@ -608,8 +608,9 @@ impl ServingSystem {
     /// ([`next_decision`]) and carried as one `Wake` heap entry per
     /// replica. At every event instant, every replica batch-emits all its
     /// intervening tokens in one span per resident
-    /// ([`Core::fast_forward_replica`]): per-resident token counts, TBT
-    /// mass via `TimeHistogram::record_n`, and the occupancy integral as a
+    /// ([`Core::fast_forward_replica`]): per-resident token counts,
+    /// on-cadence TBT gaps as one per-class counter bump, and the occupancy
+    /// integral as a
     /// closed-form arithmetic-series area — folded across replicas into
     /// *one* [`StepIntegral::add_area`] per event. Heap traffic is
     /// `O(arrivals + decision instants)` instead of `O(tokens)`; the
@@ -1077,7 +1078,7 @@ pub struct GroupOutcome {
     pub stats: SimStats,
     /// Completion records sorted by request id.
     pub records: Vec<RequestRecord>,
-    /// The group's time-between-tokens stream.
+    /// The group's time-between-tokens stream: the merge of `tbt_by_class`.
     pub tbt: TimeHistogram,
     /// Per-class TBT streams (keyed by the classes seen, ascending).
     pub tbt_by_class: Vec<(PriorityClass, TimeHistogram)>,
@@ -1601,14 +1602,14 @@ impl Core {
         // is exactly the group's TBT stream.
         let interval = self.token_interval;
         let mut tbt = TimeHistogram::new();
-        let tbt_by_class: Vec<(PriorityClass, TimeHistogram)> = (0..=u8::MAX)
-            .zip(self.tbt_by_class)
-            .filter_map(|(class, acc)| {
-                let h = acc?.into_histogram(interval);
+        let mut tbt_by_class = Vec::with_capacity(self.tbt_by_class.iter().flatten().count());
+        for (class, acc) in (0..=u8::MAX).zip(self.tbt_by_class) {
+            if let Some(acc) = acc {
+                let h = acc.into_histogram(interval);
                 tbt.merge(&h);
-                Some((PriorityClass(class), h))
-            })
-            .collect();
+                tbt_by_class.push((PriorityClass(class), h));
+            }
+        }
         // The merge-facing populations are cloned out before RunTotals
         // consumes them: per-group histograms must survive in the outcome
         // so the cluster can fold them order-independently.
