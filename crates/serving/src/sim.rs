@@ -610,10 +610,9 @@ impl ServingSystem {
     /// intervening tokens in one span per resident
     /// ([`Core::fast_forward_replica`]): per-resident token counts,
     /// on-cadence TBT gaps as one per-class counter bump, and the occupancy
-    /// integral as a
-    /// closed-form arithmetic-series area — folded across replicas into
-    /// *one* [`StepIntegral::add_area`] per event. Heap traffic is
-    /// `O(arrivals + decision instants)` instead of `O(tokens)`; the
+    /// integral as a closed-form arithmetic-series area — folded across
+    /// replicas into *one* [`StepIntegral::add_area`] per event. Heap
+    /// traffic is `O(arrivals + decision instants)` instead of `O(tokens)`; the
     /// decision tick itself walks due residents one token at a time, like
     /// the reference, so completions, exhaustion preemptions and spill
     /// dispositions stay bit-identical.
