@@ -21,8 +21,12 @@ fn main() {
         // 16K/32K contexts need the 16 Gb parts (1 TB system); model that as
         // more devices carrying the same channel count per block.
         let devices = if ctx > 8192 { 64 } else { 32 };
-        let Ok(cent) = evaluate(&cfg, devices, Strategy::PipelineParallel, ctx) else {
-            continue;
+        let cent = match evaluate(&cfg, devices, Strategy::PipelineParallel, ctx) {
+            Ok(cent) => cent,
+            Err(e) => {
+                eprintln!("fig14 (a): {ctx}-token context on {devices} devices failed: {e}");
+                continue;
+            }
         };
         let gpu_batch = gpu.max_batch(&cfg, ctx).clamp(1, 128);
         let gpu_tput = gpu.decode_tokens_per_s(&cfg, gpu_batch, ctx);
@@ -32,45 +36,50 @@ fn main() {
 
     // (b) QoS sweep.
     let cfg = ModelConfig::llama2_70b();
-    if let Ok(points) = qos_sweep(&cfg, 32, 4096, 512, 3584) {
-        let lat: Vec<(String, f64)> =
-            points.iter().map(|p| (p.label.clone(), p.query_latency_min)).collect();
-        let tput: Vec<(String, f64)> =
-            points.iter().map(|p| (p.label.clone(), p.queries_per_min)).collect();
-        report.push_series("(b) query latency", "minutes", &lat);
-        report.push_series("(b) throughput", "queries/min", &tput);
+    match qos_sweep(&cfg, 32, 4096, 512, 3584) {
+        Ok(points) => {
+            let lat: Vec<(String, f64)> =
+                points.iter().map(|p| (p.label.clone(), p.query_latency_min)).collect();
+            let tput: Vec<(String, f64)> =
+                points.iter().map(|p| (p.label.clone(), p.queries_per_min)).collect();
+            report.push_series("(b) query latency", "minutes", &lat);
+            report.push_series("(b) throughput", "queries/min", &tput);
+        }
+        Err(e) => eprintln!("fig14 (b): QoS sweep at 4096-token context on 32 devices failed: {e}"),
     }
 
-    // (c) latency breakdown for PP.
-    if let Ok(pp) = evaluate(&cfg, 32, Strategy::PipelineParallel, 4096) {
-        let b = pp.breakdown;
-        let total = b.total().as_secs().max(1e-12);
-        report.push_series(
-            "(c) PP=80 latency breakdown",
-            "fraction",
-            &[
-                ("PIM".into(), b.pim.as_secs() / total),
-                ("PNM".into(), b.pnm.as_secs() / total),
-                ("CXL".into(), b.cxl.as_secs() / total),
-                ("Host".into(), b.host.as_secs() / total),
-            ],
-        );
-    }
-
-    // (d) prefill vs decode query-latency split.
-    if let Ok(pp) = evaluate(&cfg, 32, Strategy::PipelineParallel, 4096) {
-        let mut rows = Vec::new();
-        for out in [128usize, 512, 1024, 3584] {
-            let total = pp.query_latency(512, out);
-            rows.push((format!("out {out}"), total.as_secs() / 60.0));
+    // (c) latency breakdown and (d) prefill vs decode query-latency split,
+    // both of the PP=80 point.
+    match evaluate(&cfg, 32, Strategy::PipelineParallel, 4096) {
+        Ok(pp) => {
+            let b = pp.breakdown;
+            let total = b.total().as_secs().max(1e-12);
+            report.push_series(
+                "(c) PP=80 latency breakdown",
+                "fraction",
+                &[
+                    ("PIM".into(), b.pim.as_secs() / total),
+                    ("PNM".into(), b.pnm.as_secs() / total),
+                    ("CXL".into(), b.cxl.as_secs() / total),
+                    ("Host".into(), b.host.as_secs() / total),
+                ],
+            );
+            let mut rows = Vec::new();
+            for out in [128usize, 512, 1024, 3584] {
+                let total = pp.query_latency(512, out);
+                rows.push((format!("out {out}"), total.as_secs() / 60.0));
+            }
+            report.push_series("(d) CENT query latency (in 512)", "minutes", &rows);
+            let mut gpu_rows = Vec::new();
+            for out in [128usize, 512, 1024, 3584] {
+                let t = gpu.query_latency(&cfg, 128, 4096, 512, out);
+                gpu_rows.push((format!("out {out}"), t.as_secs() / 60.0));
+            }
+            report.push_series("(d) GPU query latency (in 512)", "minutes", &gpu_rows);
         }
-        report.push_series("(d) CENT query latency (in 512)", "minutes", &rows);
-        let mut gpu_rows = Vec::new();
-        for out in [128usize, 512, 1024, 3584] {
-            let t = gpu.query_latency(&cfg, 128, 4096, 512, out);
-            gpu_rows.push((format!("out {out}"), t.as_secs() / 60.0));
+        Err(e) => {
+            eprintln!("fig14 (c), (d): PP=80 at 4096-token context on 32 devices failed: {e}")
         }
-        report.push_series("(d) GPU query latency (in 512)", "minutes", &gpu_rows);
     }
     report.emit();
 }

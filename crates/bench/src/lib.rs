@@ -9,6 +9,13 @@
 use std::fs;
 use std::path::PathBuf;
 
+use cent_cluster::DisaggConfig;
+use cent_compiler::Strategy;
+use cent_cxl::FabricConfig;
+use cent_model::ModelConfig;
+use cent_serving::{KvBudget, KvMode, LengthSampler, SchedulerConfig, ServingSystem, Workload};
+use cent_types::Time;
+
 /// Paper-vs-measured record for one experiment series.
 #[derive(Debug, Clone)]
 pub struct Series {
@@ -21,6 +28,9 @@ pub struct Series {
     /// Unit of `y`.
     pub unit: String,
 }
+
+/// Series that a sweep derives from each of its rows: `(name, unit, y)`.
+pub type SeriesTable<T> = [(&'static str, &'static str, fn(&T) -> f64)];
 
 /// A complete experiment result.
 #[derive(Debug, Clone)]
@@ -54,6 +64,26 @@ impl Report {
             y: points.iter().map(|(_, y)| *y).collect(),
             unit: unit.to_string(),
         });
+    }
+
+    /// Adds a series with one point per labelled row, `y = f(row)`.
+    pub fn push_rows<T>(
+        &mut self,
+        name: &str,
+        unit: &str,
+        rows: &[(String, T)],
+        f: impl Fn(&T) -> f64,
+    ) {
+        let points: Vec<(String, f64)> = rows.iter().map(|(x, row)| (x.clone(), f(row))).collect();
+        self.push_series(name, unit, &points);
+    }
+
+    /// Adds one series per `(name, unit, f)` entry of `table` over the same
+    /// labelled rows, each named `prefix` followed by the entry's name.
+    pub fn push_table<T>(&mut self, prefix: &str, rows: &[(String, T)], table: &SeriesTable<T>) {
+        for (name, unit, f) in table {
+            self.push_rows(&format!("{prefix}{name}"), unit, rows, f);
+        }
     }
 
     /// Prints the report to stdout in a paper-style table and writes
@@ -134,12 +164,144 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
+/// The paper's serving deployment that the beyond-paper sweeps and the
+/// `sim_perf` fleet shapes run on: Llama2-7B pipeline-parallel on 8 devices
+/// (one replica of 32 slots) with a 4096-token context.
+pub fn llama2_7b_pp8() -> ServingSystem {
+    ServingSystem::plan(&ModelConfig::llama2_7b(), 8, Strategy::PipelineParallel, 4096)
+        .expect("planning Llama2-7B on 8 devices")
+}
+
+/// A synthetic `replicas × slots` Llama2-7B system for small, fast shapes:
+/// a 1 ms token cadence (so steady state is 1000 tokens/s per slot), a
+/// `kv_tokens` budget per replica and the given prefill rate in tokens/s.
+pub fn synthetic(
+    replicas: usize,
+    slots: usize,
+    kv_tokens: u64,
+    kv: KvMode,
+    prefill_rate: f64,
+) -> ServingSystem {
+    let scheduler = SchedulerConfig {
+        replicas,
+        slots_per_replica: slots,
+        kv_budget: KvBudget::tokens(kv_tokens),
+        kv,
+    };
+    let steady_tokens_per_s = (replicas * slots) as f64 * 1000.0;
+    let cfg = ModelConfig::llama2_7b();
+    ServingSystem::from_parts(
+        &cfg,
+        scheduler,
+        Time::from_us(1000),
+        prefill_rate,
+        steady_tokens_per_s,
+    )
+}
+
+/// Aggregate capacity, in queries per second, of `groups` copies of
+/// `system` serving the ShareGPT-like mix, anchored on its mean shape
+/// (160-token prompts, 210-token decodes).
+pub fn sharegpt_capacity(system: &ServingSystem, groups: usize) -> f64 {
+    groups as f64 * system.capacity_qps(160, 210)
+}
+
+/// The ShareGPT-like fleet workload: the chatbot arrival process at
+/// `rate_qps` with heavy-tailed ShareGPT lengths, the regime where request
+/// sizes differ enough to separate load-aware from load-blind routing.
+pub fn sharegpt(rate_qps: f64, seed: u64) -> Workload {
+    Workload { lengths: LengthSampler::ShareGpt, ..Workload::chatbot(rate_qps, seed) }
+}
+
+/// A `prefill`/`decode` tier split of `system` groups over the shared
+/// switch-attached KV pool. The pool holds ~32 mean ShareGPT contexts, so
+/// deferral is backpressure rather than the steady state, and each pooled
+/// page pays two extra switch hops over a direct host link (prefill device
+/// → switch → pool, pool → switch → decode device).
+pub fn pool_split(system: &ServingSystem, prefill: usize, decode: usize) -> DisaggConfig {
+    DisaggConfig::split(
+        prefill,
+        decode,
+        32 * 161,
+        system.swap_cost().with_switch_hops(2, &FabricConfig::cent(32)),
+    )
+}
+
 /// Geometric mean helper used by the speedup figures.
 pub fn geomean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
     (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
+}
+
+/// The counters of a `sim_perf` row's span run that `sim_perf
+/// --check-against` compares with a committed baseline, by their artifact
+/// keys. They repeat exactly between runs of one tree, unlike wall time.
+pub const GATED_COUNTERS: [&str; 3] = ["heap_events_per_token", "tick_events", "allocs_per_token"];
+
+/// How far a gated counter may grow over its baseline before the gate fails.
+pub const GATE_SLACK: f64 = 1.20;
+
+/// One row's span counters, in [`GATED_COUNTERS`] order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpanCounters {
+    /// Row (shape) name.
+    pub name: String,
+    /// Counter values.
+    pub values: [f64; 3],
+}
+
+/// Extracts each row's span counters from a `BENCH_serving_sim*.json` file.
+/// `sim_perf` writes each row's `{"name": ...` on its own line and, after
+/// it, the row's `"span": {...}` block on one line, so a line scan is exact
+/// (the build has no JSON parser). Rows without a span line are skipped.
+pub fn parse_span_counters(text: &str) -> Vec<SpanCounters> {
+    fn field(line: &str, key: &str) -> Option<f64> {
+        let tail = &line[line.find(&format!("\"{key}\": "))? + key.len() + 4..];
+        let end = tail.find([',', '}']).unwrap_or(tail.len());
+        tail[..end].trim().parse().ok()
+    }
+    let mut rows = Vec::new();
+    let mut name: Option<String> = None;
+    for line in text.lines().map(str::trim) {
+        if let Some(tail) = line.strip_prefix("{\"name\": \"") {
+            name = tail.split('"').next().map(str::to_string);
+        } else if line.starts_with("\"span\":") {
+            if let (Some(name), [Some(a), Some(b), Some(c)]) =
+                (name.take(), GATED_COUNTERS.map(|key| field(line, key)))
+            {
+                rows.push(SpanCounters { name, values: [a, b, c] });
+            }
+        }
+    }
+    rows
+}
+
+/// Checks a run's rows against the baseline's: every baseline row must have
+/// been measured, and none of its counters may exceed `baseline ×
+/// GATE_SLACK`. Returns one self-contained line per failure — measured value,
+/// baseline value and threshold — so a log alone shows how far over the line
+/// a run landed; an empty list means the gate passed.
+pub fn check_span_counters(baseline: &[SpanCounters], measured: &[SpanCounters]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for b in baseline {
+        let Some(now) = measured.iter().find(|m| m.name == b.name) else {
+            failures.push(format!("{}: baseline row missing from this run", b.name));
+            continue;
+        };
+        for ((key, measured), baseline) in GATED_COUNTERS.iter().zip(now.values).zip(b.values) {
+            let threshold = GATE_SLACK * baseline;
+            if measured > threshold {
+                failures.push(format!(
+                    "{}: {key} regressed: measured {measured:.4}, baseline {baseline:.4}, \
+                     allowed at most {threshold:.4} (baseline x {GATE_SLACK})",
+                    b.name
+                ));
+            }
+        }
+    }
+    failures
 }
 
 #[cfg(test)]
@@ -161,5 +323,53 @@ mod tests {
         assert!(json.contains("\"id\": \"test\""), "{json}");
         assert!(json.contains("\\\"quoted\\\""), "{json}");
         assert!(json.contains("[1, 2]"), "{json}");
+    }
+
+    const ARTIFACT: &str = r#"{
+  "shapes": [
+    {"name": "clean", "sim_tokens": 716800, "preemptions": 0, "swaps": 0,
+     "reference": {"wall_s": 0.05, "tick_events": 0, "heap_events_per_token": 2.0078, "allocs_per_token": 0.0085},
+     "span": {"wall_s": 0.004, "tick_events": 2800, "heap_events_per_token": 0.0156, "allocs_per_token": 0.0086}},
+    {"name": "chaos", "sim_tokens": 358152, "preemptions": 0, "swaps": 0,
+     "span": {"wall_s": 0.008, "tick_events": 3070, "heap_events_per_token": 0.0378, "allocs_per_token": 0.0334}}
+  ]
+}"#;
+
+    fn row(name: &str, values: [f64; 3]) -> SpanCounters {
+        SpanCounters { name: name.into(), values }
+    }
+
+    #[test]
+    fn parse_reads_each_rows_span_block_not_its_reference() {
+        let rows = parse_span_counters(ARTIFACT);
+        assert_eq!(
+            rows,
+            [row("clean", [0.0156, 2800.0, 0.0086]), row("chaos", [0.0378, 3070.0, 0.0334])]
+        );
+    }
+
+    #[test]
+    fn counters_within_slack_pass() {
+        let measured =
+            [row("chaos", [0.0378 * 1.19, 3070.0, 0.0334]), row("clean", [0.015, 3360.0, 0.0086])];
+        assert!(check_span_counters(&parse_span_counters(ARTIFACT), &measured).is_empty());
+    }
+
+    #[test]
+    fn a_counter_over_slack_fails_with_measured_baseline_and_threshold() {
+        let baseline = [row("clean", [0.0156, 2800.0, 0.0086])];
+        let failures = check_span_counters(&baseline, &[row("clean", [0.0156, 3361.0, 0.0086])]);
+        assert_eq!(
+            failures,
+            ["clean: tick_events regressed: measured 3361.0000, baseline 2800.0000, allowed at \
+              most 3360.0000 (baseline x 1.2)"]
+        );
+    }
+
+    #[test]
+    fn a_baseline_row_missing_from_the_run_fails() {
+        let measured = [row("clean", [0.0156, 2800.0, 0.0086])];
+        let failures = check_span_counters(&parse_span_counters(ARTIFACT), &measured);
+        assert_eq!(failures, ["chaos: baseline row missing from this run"]);
     }
 }
