@@ -75,7 +75,7 @@ use std::collections::BTreeMap;
 
 use cent_cost::KvSwapCost;
 use cent_cxl::SharedKvPool;
-use cent_serving::{GroupOutcome, GroupSim, RequestRecord, RequestSpec, ServingSystem};
+use cent_serving::{GroupOutcome, GroupSim, RequestSpec, ServingSystem};
 use cent_types::Time;
 
 use crate::admission::fleet_saturation;
@@ -561,21 +561,6 @@ impl<'a> DecodeTier<'a> {
         }
         self.log
     }
-}
-
-/// Joins each handed-off request's prefill- and decode-phase records, by
-/// id (both slices sorted by id after `finish`).
-pub(crate) fn join_phases<'a>(
-    prefill: &'a [&'a RequestRecord],
-    decode: &'a [&'a RequestRecord],
-) -> Vec<(&'a RequestRecord, &'a RequestRecord)> {
-    let mut joined = Vec::with_capacity(decode.len());
-    for d in decode {
-        if let Ok(pos) = prefill.binary_search_by_key(&d.spec.id.0, |r| r.spec.id.0) {
-            joined.push((prefill[pos], *d));
-        }
-    }
-    joined
 }
 
 #[cfg(test)]

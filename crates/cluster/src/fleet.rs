@@ -456,15 +456,9 @@ pub(crate) fn run(
     }
 
     let outcomes = finish_groups(sims, offered_qps / fleet.groups as f64, fleet.threads);
-    let report = if split {
-        let faults = track.then_some(&flog);
-        let slo = fleet.serve.slo;
-        FleetReport::from_outcomes_disagg(offered_qps, &outcomes, &disagg.roles, &log, faults, slo)
-    } else if track {
-        FleetReport::from_outcomes_faulted(offered_qps, &outcomes, &flog)
-    } else {
-        FleetReport::from_outcomes(offered_qps, &outcomes)
-    };
+    let (faults, slo) = (track.then_some(&flog), fleet.serve.slo);
+    let report =
+        FleetReport::from_outcomes_disagg(offered_qps, &outcomes, &disagg.roles, &log, faults, slo);
     debug_assert!(
         !(split || track)
             || report.completed + report.rejected + flog.dropped.len() + flog.shed.len()

@@ -1,21 +1,28 @@
 //! Fleet-wide SLO reporting: the deterministic merge of per-group serving
 //! outcomes into one [`FleetReport`].
 //!
+//! One fold serves every topology. A request is the chain of its phase
+//! records, joined by request id: its entry-tier records (one on a
+//! colocated fleet; on a split fleet, one per pass through the prefill
+//! tier) plus at most one decode-tier record. Colocated, faulted and split
+//! runs differ only in what the chains hold and in which optional sections
+//! the fold adds.
+//!
 //! The merge is pure bookkeeping over [`GroupOutcome`]s in fixed group
-//! order — latency populations are concatenated and re-sorted, streamed
-//! histograms are folded with the order-independent
+//! order — latency populations are gathered per request and sorted,
+//! streamed histograms are folded with the order-independent
 //! [`TimeHistogram::merge`], counters are summed — so the report is a
 //! function of the per-group outcomes alone, never of how many worker
 //! threads produced them.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use cent_serving::{
     ClassReport, GroupOutcome, LatencyStats, PriorityClass, RequestId, RequestRecord,
 };
 use cent_types::{SortedSamples, Time, TimeHistogram};
 
-use crate::disagg::{join_phases, DisaggLog, GroupRole};
+use crate::disagg::{DisaggLog, GroupRole};
 use crate::fault::FaultLog;
 
 /// Spread of a per-group utilization metric across the fleet.
@@ -81,15 +88,67 @@ impl RouterImbalance {
     }
 }
 
-/// Fleet-wide TBT of one class: the merge of every group's histogram for it.
-fn class_tbt(outcomes: &[GroupOutcome], class: PriorityClass) -> LatencyStats {
-    let mut merged = TimeHistogram::new();
-    for o in outcomes {
-        if let Some((_, h)) = o.tbt_by_class.iter().find(|(c, _)| *c == class) {
-            merged.merge(h);
+/// Summary of an unsorted latency population.
+fn summary(samples: Vec<Time>) -> LatencyStats {
+    LatencyStats::from_sorted(&SortedSamples::new(samples))
+}
+
+/// One request of a fleet run: the chain of its entry-tier records, joined
+/// by id with its decode-tier record if it reached one.
+struct Request<'a> {
+    /// Earliest-finished entry record: it carries the user-visible first
+    /// token.
+    first: &'a RequestRecord,
+    /// Latest-finished entry record: it published the context the decode
+    /// tier claimed, or finished the request outright.
+    last: &'a RequestRecord,
+    /// The decode-phase record.
+    decode: Option<&'a RequestRecord>,
+    /// Whether the fault path dropped the request.
+    dropped: bool,
+}
+
+impl Request<'_> {
+    /// When the request's final phase finished; `None` if it never did.
+    fn finished(&self) -> Option<Time> {
+        match self.decode {
+            Some(d) => Some(d.finished),
+            None => (!self.dropped).then_some(self.last.finished),
         }
     }
-    LatencyStats::from_histogram(&merged)
+
+    /// Arrival to the final phase's finish, for a completed request.
+    fn latency(&self) -> Option<Time> {
+        self.finished().map(|t| t.saturating_sub(self.last.spec.arrival))
+    }
+
+    /// Prompt completion to the first decode-tier token, for a handoff.
+    fn handoff(&self) -> Option<Time> {
+        self.decode.map(|d| d.first_token.saturating_sub(self.last.finished))
+    }
+}
+
+/// Walks the requests of a run in id order: `entry` (sorted by
+/// `(id, finished)`) chain by chain, merged with `decode` (sorted by id)
+/// and the `dropped` ids (sorted).
+fn requests<'a>(
+    entry: &'a [(u64, &'a RequestRecord)],
+    decode: &'a [&'a RequestRecord],
+    dropped: &'a [u64],
+) -> impl Iterator<Item = Request<'a>> {
+    let mut decode = decode.iter().copied().peekable();
+    let mut dropped = dropped.iter().copied().peekable();
+    entry.chunk_by(|a, b| a.0 == b.0).map(move |chain| {
+        let id = chain[0].0;
+        while decode.next_if(|d| d.spec.id.0 < id).is_some() {}
+        while dropped.next_if(|&d| d < id).is_some() {}
+        Request {
+            first: chain[0].1,
+            last: chain[chain.len() - 1].1,
+            decode: decode.next_if(|d| d.spec.id.0 == id),
+            dropped: dropped.next_if_eq(&id).is_some(),
+        }
+    })
 }
 
 /// One group's row in the fleet report.
@@ -253,8 +312,9 @@ pub struct FleetReport {
     pub imbalance: RouterImbalance,
     /// One row per group, in group order.
     pub per_group: Vec<GroupRow>,
-    /// Degraded-mode section; `None` iff the run carried no fault
-    /// schedule, so fault-free reports compare equal to pre-fault ones.
+    /// Degraded-mode section; `None` iff the fold was given no fault log
+    /// (the run carried no fault schedule and no admission policy), so
+    /// fault-free reports compare equal to pre-fault ones.
     pub degraded: Option<DegradedReport>,
     /// Disaggregation section; `None` iff the run used no prefill/decode
     /// split, so colocated reports compare equal to base-driver ones.
@@ -262,96 +322,164 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Folds per-group outcomes (in group order) into the fleet view.
+    /// Folds the outcomes of a colocated fleet: the one-tier case of
+    /// [`from_outcomes_disagg`](Self::from_outcomes_disagg), judged against
+    /// the SLO the groups ran under.
     pub fn from_outcomes(offered_qps: f64, outcomes: &[GroupOutcome]) -> Self {
-        let mut report = Self::fold_groups(offered_qps, outcomes);
-        let records = || outcomes.iter().flat_map(|o| o.records.iter());
-        report.ttft =
-            LatencyStats::from_sorted(&SortedSamples::new(records().map(|r| r.ttft()).collect()));
-        report.query_latency = LatencyStats::from_sorted(&SortedSamples::new(
-            records().map(|r| r.query_latency()).collect(),
-        ));
-        report.queue_wait = LatencyStats::from_sorted(&SortedSamples::new(
-            records().map(|r| r.queue_wait()).collect(),
-        ));
-
-        // Per-class fleet rows: counters and histograms merge per class
-        // key; the latency populations come from the concatenated records.
-        let mut class_keys: Vec<PriorityClass> =
-            outcomes.iter().flat_map(|o| o.submitted_by_class.iter().map(|&(c, _)| c)).collect();
-        class_keys.sort_unstable();
-        class_keys.dedup();
-        let makespan = report.makespan;
-        report.classes = class_keys
-            .iter()
-            .map(|&class| {
-                let submitted = outcomes
-                    .iter()
-                    .flat_map(|o| &o.submitted_by_class)
-                    .filter(|(c, _)| *c == class)
-                    .map(|(_, n)| n)
-                    .sum();
-                let of_class = || records().filter(move |r| r.spec.class == class);
-                let ttfts = SortedSamples::new(of_class().map(|r| r.ttft()).collect());
-                let lats = SortedSamples::new(of_class().map(|r| r.query_latency()).collect());
-                let row = |o: &GroupOutcome| {
-                    o.report.classes.iter().find(|c| c.class == class).map(|c| c.deadline_hits)
-                };
-                let deadline_hits: usize = outcomes.iter().filter_map(row).sum();
-                ClassReport {
-                    class,
-                    submitted,
-                    completed: of_class().count(),
-                    ttft: LatencyStats::from_sorted(&ttfts),
-                    query_latency: LatencyStats::from_sorted(&lats),
-                    tbt: class_tbt(outcomes, class),
-                    deadline_hits,
-                    goodput_qps: if makespan > Time::ZERO {
-                        deadline_hits as f64 / makespan.as_secs()
-                    } else {
-                        0.0
-                    },
-                }
-            })
-            .collect();
-        report.imbalance = RouterImbalance::over(report.per_group.iter().map(|g| g.submitted));
-        report
+        let roles = vec![GroupRole::Colocated; outcomes.len()];
+        let slo = outcomes.first().and_then(|o| o.report.slo);
+        Self::from_outcomes_disagg(offered_qps, outcomes, &roles, &DisaggLog::default(), None, slo)
     }
 
-    /// The part of the fleet view that every topology folds the same way:
-    /// counters, the makespan, the TBT merge, the utilization spreads and
-    /// the per-group rows. The latency populations, the class rows and the
-    /// router imbalance are left empty; the caller fills them in from what
-    /// a request is in its topology.
-    fn fold_groups(offered_qps: f64, outcomes: &[GroupOutcome]) -> Self {
+    /// Folds per-group outcomes (in group order) into the end-to-end view
+    /// of any topology.
+    ///
+    /// A request is the chain of its entry-tier records (colocated or
+    /// [`GroupRole::Prefill`] groups) plus at most one record from a
+    /// [`GroupRole::Decode`] group, joined by request id. On a colocated
+    /// fleet every chain is a single record. A chain grows past one record
+    /// only when a decode-tier crash sends the request back through the
+    /// prefill tier: its earliest-finished record carries the user-visible
+    /// first token (TTFT, queue wait), and its latest-finished one
+    /// published the context the decode tier finally claimed.
+    ///
+    /// So `submitted` counts entry-tier arrivals (not decode-tier
+    /// re-submissions), `completed` counts requests whose final phase
+    /// finished (the decode record, or the last entry record of a request
+    /// with no decode phase that `faults` did not drop), `prefill_tokens`
+    /// counts prompt tokens per entry pass (a redispatched prompt is
+    /// genuinely reprocessed), latency runs from the arrival to the final
+    /// phase's finish, and router imbalance is judged over the entry tier
+    /// (the only tier the router spreads arrivals across). TBT merges the
+    /// per-group histograms, so the prefill→decode handoff gap is not a TBT
+    /// sample; it is reported as [`DisaggReport::handoff_latency`].
+    ///
+    /// The disagg section is present iff some role is
+    /// [`GroupRole::Decode`]; the degraded section iff `faults` is given.
+    /// Class rows count SLO hits against `slo`.
+    pub fn from_outcomes_disagg(
+        offered_qps: f64,
+        outcomes: &[GroupOutcome],
+        roles: &[GroupRole],
+        log: &DisaggLog,
+        faults: Option<&FaultLog>,
+        slo: Option<Time>,
+    ) -> Self {
+        assert_eq!(roles.len(), outcomes.len(), "one role per group");
+        let of_tier = |decode: bool| {
+            outcomes.iter().zip(roles).filter(move |(_, r)| (**r == GroupRole::Decode) == decode)
+        };
+        let entry_groups = || of_tier(false).map(|(o, _)| o);
         let records = || outcomes.iter().flat_map(|o| o.records.iter());
+        // Entry-tier records sorted into chains. Keying each by its id keeps
+        // the sort off the records: only equal ids compare finish instants.
+        let mut entry = Vec::with_capacity(entry_groups().map(|o| o.records.len()).sum());
+        entry.extend(entry_groups().flat_map(|o| &o.records).map(|r| (r.spec.id.0, r)));
+        entry.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.finished.cmp(&b.1.finished)));
+        let mut decode: Vec<&RequestRecord> = of_tier(true).flat_map(|(o, _)| &o.records).collect();
+        decode.sort_unstable_by_key(|r| r.spec.id.0);
+        let mut dropped: Vec<u64> =
+            faults.iter().flat_map(|f| f.dropped.iter().map(|(id, _)| id.0)).collect();
+        dropped.sort_unstable();
+        let requests = || requests(&entry, &decode, &dropped);
+        let submitted: usize = entry_groups().map(|o| o.report.submitted).sum();
+
         let first_arrival = records().map(|r| r.spec.arrival).min().unwrap_or(Time::ZERO);
         let last_finish = records().map(|r| r.finished).max().unwrap_or(Time::ZERO);
         let makespan = last_finish.saturating_sub(first_arrival);
+        let makespan_s = makespan.as_secs();
         let decode_tokens: u64 = records().map(|r| r.spec.decode as u64).sum();
-        let mut tbt = TimeHistogram::new();
-        for o in outcomes {
-            tbt.merge(&o.tbt);
+        // Each class's TBT is the merge of its groups' class histograms, and
+        // the fleet's is the merge of those (as a group's is of its own).
+        let mut class_tbt: BTreeMap<PriorityClass, TimeHistogram> = BTreeMap::new();
+        for (class, h) in outcomes.iter().flat_map(|o| &o.tbt_by_class) {
+            class_tbt.entry(*class).or_default().merge(h);
         }
+        let mut tbt = TimeHistogram::new();
+        for h in class_tbt.values() {
+            tbt.merge(h);
+        }
+
+        // Every population reserves one sample per entry-tier submission up
+        // front (a request submits at least once), so none grows by copying.
+        // The class rows come from one walk that files each request under
+        // its class.
+        let mut by_class: BTreeMap<PriorityClass, usize> = BTreeMap::new();
+        for &(class, n) in entry_groups().flat_map(|o| &o.submitted_by_class) {
+            *by_class.entry(class).or_insert(0) += n;
+        }
+        let mut rows: Vec<_> = by_class
+            .into_iter()
+            .map(|(class, n)| (class, n, Vec::with_capacity(n), Vec::with_capacity(n)))
+            .collect();
+        for r in requests() {
+            let class = r.first.spec.class;
+            if let Some((_, _, ttfts, latencies)) = rows.iter_mut().find(|row| row.0 == class) {
+                ttfts.push(r.first.ttft());
+                latencies.extend(r.latency());
+            }
+        }
+        let classes = rows
+            .into_iter()
+            .map(|(class, n, ttfts, latencies)| {
+                let tbt = class_tbt.get(&class).map(LatencyStats::from_histogram);
+                let tbt = tbt.unwrap_or_default();
+                ClassReport::new(class, n, ttfts, latencies, tbt, slo, makespan)
+            })
+            .collect();
+        let mut ttfts = Vec::with_capacity(submitted);
+        let mut waits = Vec::with_capacity(submitted);
+        let mut latencies = Vec::with_capacity(submitted);
+        for r in requests() {
+            ttfts.push(r.first.ttft());
+            waits.push(r.first.queue_wait());
+            latencies.extend(r.latency());
+        }
+        let completed = latencies.len();
+        let (ttft, queue_wait, query_latency) =
+            (summary(ttfts), summary(waits), summary(latencies));
+
+        let disagg = roles.contains(&GroupRole::Decode).then(|| {
+            let handoffs: Vec<Time> = requests().filter_map(|r| r.handoff()).collect();
+            debug_assert_eq!(handoffs.len(), decode.len(), "every decode phase has a prompt");
+            DisaggReport {
+                prefill_groups: roles.iter().filter(|r| **r == GroupRole::Prefill).count(),
+                decode_groups: roles.iter().filter(|r| **r == GroupRole::Decode).count(),
+                handoffs: log.handoffs,
+                singles: log.singles,
+                steals: log.steals,
+                deferred_publishes: log.deferred,
+                handoff_latency: summary(handoffs),
+                pool_capacity_tokens: log.pool_capacity_tokens,
+                pool_peak_tokens: log.pool_peak_tokens,
+                pool_occupancy: if log.pool_capacity_tokens > 0 && makespan_s > 0.0 {
+                    log.pool_occupancy_token_s / (log.pool_capacity_tokens as f64 * makespan_s)
+                } else {
+                    0.0
+                },
+            }
+        });
+        let degraded = faults.map(|flog| {
+            let first_tokens = records().map(|r| (r.spec.id.0, r.first_token)).collect();
+            let completions: Vec<Time> = requests().filter_map(|r| r.finished()).collect();
+            degraded_section(flog, first_tokens, &completions, makespan, outcomes.len())
+        });
+
         FleetReport {
             groups: outcomes.len(),
             offered_qps,
-            submitted: outcomes.iter().map(|o| o.report.submitted).sum(),
-            completed: outcomes.iter().map(|o| o.report.completed).sum(),
+            submitted,
+            completed,
             rejected: outcomes.iter().map(|o| o.report.rejected).sum(),
             makespan,
             decode_tokens,
-            prefill_tokens: records().map(|r| r.spec.prompt as u64).sum(),
-            tokens_per_s: if makespan > Time::ZERO {
-                decode_tokens as f64 / makespan.as_secs()
-            } else {
-                0.0
-            },
-            ttft: LatencyStats::default(),
-            query_latency: LatencyStats::default(),
-            queue_wait: LatencyStats::default(),
+            prefill_tokens: entry.iter().map(|(_, r)| r.spec.prompt as u64).sum(),
+            tokens_per_s: if makespan_s > 0.0 { decode_tokens as f64 / makespan_s } else { 0.0 },
+            ttft,
+            query_latency,
+            queue_wait,
             tbt: LatencyStats::from_histogram(&tbt),
-            classes: Vec::new(),
+            classes,
             preemptions: outcomes.iter().map(|o| o.report.preemptions).sum(),
             swaps: outcomes.iter().map(|o| o.report.swaps).sum(),
             peak_queue_depth: outcomes.iter().map(|o| o.report.peak_queue_depth).max().unwrap_or(0),
@@ -361,7 +489,7 @@ impl FleetReport {
             kv_utilization: UtilizationSpread::over(
                 outcomes.iter().map(|o| o.report.kv_utilization),
             ),
-            imbalance: RouterImbalance::default(),
+            imbalance: RouterImbalance::over(entry_groups().map(|o| o.report.submitted)),
             per_group: outcomes
                 .iter()
                 .map(|o| GroupRow {
@@ -372,234 +500,9 @@ impl FleetReport {
                     peak_queue_depth: o.report.peak_queue_depth,
                 })
                 .collect(),
-            degraded: None,
-            disagg: None,
+            degraded,
+            disagg,
         }
-    }
-
-    /// [`from_outcomes`](Self::from_outcomes) plus the degraded-mode
-    /// section derived from the driver's [`FaultLog`]. Used whenever the
-    /// run carried a fault schedule, even one that never fired.
-    pub fn from_outcomes_faulted(
-        offered_qps: f64,
-        outcomes: &[GroupOutcome],
-        log: &FaultLog,
-    ) -> Self {
-        let mut report = Self::from_outcomes(offered_qps, outcomes);
-        let records = || outcomes.iter().flat_map(|o| o.records.iter());
-        let first_tokens = records().map(|r| (r.spec.id.0, r.first_token)).collect();
-        let completions: Vec<Time> = records().map(|r| r.finished).collect();
-        report.degraded = Some(degraded_section(
-            log,
-            first_tokens,
-            &completions,
-            report.makespan,
-            outcomes.len(),
-        ));
-        report
-    }
-
-    /// Folds the outcomes of a role-split fleet into the end-to-end view,
-    /// joining each handed-off request's prefill-phase record (prompt +
-    /// first token, on a [`GroupRole::Prefill`] group) with its
-    /// decode-phase record (the remaining tokens) by request id.
-    ///
-    /// The corrected metrics: `submitted` counts prefill-tier arrivals
-    /// (not decode-tier re-submissions), `completed` counts requests whose
-    /// *final* phase finished (excluding fault-dropped requests),
-    /// `prefill_tokens` counts prompt tokens per prefill pass (a
-    /// crash-redispatched prompt is genuinely reprocessed by the tier),
-    /// latency runs from the original arrival to the decode-phase finish,
-    /// TTFT/queue-wait come from the prefill tier (which owns the first
-    /// token) and router imbalance is judged over the prefill tier (the
-    /// only tier the router spreads arrivals across). TBT merges the
-    /// per-group histograms, so the prefill→decode handoff gap itself is
-    /// not a TBT sample — it is reported separately as
-    /// [`DisaggReport::handoff_latency`].
-    ///
-    /// `faults` carries the driver's [`FaultLog`] whenever the run tracked
-    /// faults or admission shedding; it adds the degraded section (with
-    /// completions counted over joined requests, not phase records).
-    pub fn from_outcomes_disagg(
-        offered_qps: f64,
-        outcomes: &[GroupOutcome],
-        roles: &[GroupRole],
-        log: &DisaggLog,
-        faults: Option<&FaultLog>,
-        slo: Option<Time>,
-    ) -> Self {
-        assert_eq!(roles.len(), outcomes.len(), "one role per group");
-        let mut report = Self::fold_groups(offered_qps, outcomes);
-        let of_role = |role: GroupRole| {
-            outcomes.iter().zip(roles).filter(move |(_, r)| **r == role).map(|(o, _)| o)
-        };
-        // Records of each tier, sorted by id for the phase join.
-        let mut prefill_records: Vec<&RequestRecord> =
-            of_role(GroupRole::Prefill).flat_map(|o| o.records.iter()).collect();
-        prefill_records.sort_unstable_by_key(|r| (r.spec.id.0, r.finished));
-        let mut decode_records: Vec<&RequestRecord> =
-            of_role(GroupRole::Decode).flat_map(|o| o.records.iter()).collect();
-        decode_records.sort_unstable_by_key(|r| r.spec.id.0);
-        // A request redispatched through the prefill tier after a decode
-        // crash leaves several prefill records. The earliest-finished one
-        // carries the user-visible first token (TTFT, queue wait); the
-        // latest-finished one published the context the decode tier
-        // finally claimed, so it anchors the phase join.
-        let mut prefill_first: Vec<&RequestRecord> = Vec::with_capacity(prefill_records.len());
-        let mut prefill_last: Vec<&RequestRecord> = Vec::with_capacity(prefill_records.len());
-        for &r in &prefill_records {
-            match prefill_last.last_mut() {
-                Some(last) if last.spec.id == r.spec.id => *last = r,
-                _ => {
-                    prefill_first.push(r);
-                    prefill_last.push(r);
-                }
-            }
-        }
-        let joined = join_phases(&prefill_last, &decode_records);
-        debug_assert_eq!(joined.len(), decode_records.len(), "every decode phase has a prompt");
-        // Prefill records without a decode phase finished outright on the
-        // prefill tier (single-token decodes) — unless the fault path
-        // dropped the request after its prompt completed.
-        let dropped: BTreeSet<u64> = match faults {
-            Some(f) => f.dropped.iter().map(|&(id, _)| id.0).collect(),
-            None => BTreeSet::new(),
-        };
-        let singles: Vec<&RequestRecord> = prefill_first
-            .iter()
-            .filter(|r| {
-                decode_records.binary_search_by_key(&r.spec.id.0, |d| d.spec.id.0).is_err()
-                    && !dropped.contains(&r.spec.id.0)
-            })
-            .copied()
-            .collect();
-
-        report.submitted = of_role(GroupRole::Prefill).map(|o| o.report.submitted).sum();
-        report.completed = singles.len() + joined.len();
-        report.prefill_tokens = prefill_records.iter().map(|r| r.spec.prompt as u64).sum();
-        // End-to-end latency: arrival to the *final* phase's completion.
-        let end_latency = |prefill: &RequestRecord, decode: Option<&RequestRecord>| {
-            decode.unwrap_or(prefill).finished.saturating_sub(prefill.spec.arrival)
-        };
-        let latencies = SortedSamples::new(
-            joined
-                .iter()
-                .map(|&(p, d)| end_latency(p, Some(d)))
-                .chain(singles.iter().map(|&p| end_latency(p, None)))
-                .collect(),
-        );
-        report.query_latency = LatencyStats::from_sorted(&latencies);
-        report.ttft = LatencyStats::from_sorted(&SortedSamples::new(
-            prefill_first.iter().map(|r| r.ttft()).collect(),
-        ));
-        report.queue_wait = LatencyStats::from_sorted(&SortedSamples::new(
-            prefill_first.iter().map(|r| r.queue_wait()).collect(),
-        ));
-        let handoff_latency = LatencyStats::from_sorted(&SortedSamples::new(
-            joined.iter().map(|&(p, d)| d.first_token.saturating_sub(p.finished)).collect(),
-        ));
-
-        // Per-class rows over the joined populations. Submissions come
-        // from the prefill tier (the only tier arrivals reach).
-        let mut class_keys: Vec<PriorityClass> = of_role(GroupRole::Prefill)
-            .flat_map(|o| o.submitted_by_class.iter().map(|&(c, _)| c))
-            .collect();
-        class_keys.sort_unstable();
-        class_keys.dedup();
-        let makespan_s = report.makespan.as_secs();
-        report.classes = class_keys
-            .iter()
-            .map(|&class| {
-                let submitted = of_role(GroupRole::Prefill)
-                    .flat_map(|o| &o.submitted_by_class)
-                    .filter(|(c, _)| *c == class)
-                    .map(|(_, n)| n)
-                    .sum();
-                let raw: Vec<Time> = joined
-                    .iter()
-                    .filter(|(p, _)| p.spec.class == class)
-                    .map(|&(p, d)| end_latency(p, Some(d)))
-                    .chain(
-                        singles
-                            .iter()
-                            .filter(|p| p.spec.class == class)
-                            .map(|&p| end_latency(p, None)),
-                    )
-                    .collect();
-                let deadline_hits = match slo {
-                    Some(slo) => raw.iter().filter(|&&l| l <= slo).count(),
-                    None => raw.len(),
-                };
-                let lats = SortedSamples::new(raw);
-                let ttfts = SortedSamples::new(
-                    prefill_first
-                        .iter()
-                        .filter(|r| r.spec.class == class)
-                        .map(|r| r.ttft())
-                        .collect(),
-                );
-                ClassReport {
-                    class,
-                    submitted,
-                    completed: lats.len(),
-                    ttft: LatencyStats::from_sorted(&ttfts),
-                    query_latency: LatencyStats::from_sorted(&lats),
-                    tbt: class_tbt(outcomes, class),
-                    deadline_hits,
-                    goodput_qps: if makespan_s > 0.0 {
-                        deadline_hits as f64 / makespan_s
-                    } else {
-                        0.0
-                    },
-                }
-            })
-            .collect();
-
-        // The router only spreads arrivals over the prefill tier; judge
-        // its imbalance there.
-        report.imbalance =
-            RouterImbalance::over(of_role(GroupRole::Prefill).map(|o| o.report.submitted));
-
-        let pool_occupancy = if log.pool_capacity_tokens > 0 && makespan_s > 0.0 {
-            log.pool_occupancy_token_s / (log.pool_capacity_tokens as f64 * makespan_s)
-        } else {
-            0.0
-        };
-        report.disagg = Some(DisaggReport {
-            prefill_groups: roles.iter().filter(|r| **r == GroupRole::Prefill).count(),
-            decode_groups: roles.iter().filter(|r| **r == GroupRole::Decode).count(),
-            handoffs: log.handoffs,
-            singles: log.singles,
-            steals: log.steals,
-            deferred_publishes: log.deferred,
-            handoff_latency,
-            pool_capacity_tokens: log.pool_capacity_tokens,
-            pool_peak_tokens: log.pool_peak_tokens,
-            pool_occupancy,
-        });
-
-        if let Some(flog) = faults {
-            let first_tokens = outcomes
-                .iter()
-                .flat_map(|o| o.records.iter())
-                .map(|r| (r.spec.id.0, r.first_token))
-                .collect();
-            // Completions are joined *requests* (plus singles), not phase
-            // records, so goodput matches the corrected `completed`.
-            let completions: Vec<Time> = joined
-                .iter()
-                .map(|&(_, d)| d.finished)
-                .chain(singles.iter().map(|&p| p.finished))
-                .collect();
-            report.degraded = Some(degraded_section(
-                flog,
-                first_tokens,
-                &completions,
-                report.makespan,
-                outcomes.len(),
-            ));
-        }
-        report
     }
 
     /// Serialises the report as one JSON object (schema documented in
@@ -755,15 +658,14 @@ impl FleetReport {
     }
 }
 
-/// Builds the degraded-mode section shared by the colocated and
-/// disaggregated faulted paths.
+/// Builds the degraded-mode section of a run that tracked faults.
 ///
 /// `first_tokens` holds one `(id, first token)` entry per *record* — a
 /// request redispatched through the prefill tier leaves several — and the
 /// failover/rescue joins pick, per event, the earliest first token at or
 /// after the crash instant. `completions` holds the completion instant of
-/// each completed *request* (phase records already joined on the disagg
-/// path), so goodput counts requests, not phases.
+/// each completed *request* (its phase records already joined), so goodput
+/// counts requests, not phases.
 fn degraded_section(
     log: &FaultLog,
     mut first_tokens: Vec<(u64, Time)>,

@@ -183,6 +183,43 @@ pub struct ClassReport {
     pub goodput_qps: f64,
 }
 
+impl ClassReport {
+    /// Builds one class row from the class's populations: `ttfts` holds the
+    /// first-token delay of each of its requests that emitted one,
+    /// `latencies` the end-to-end latency of each that completed. The row
+    /// counts `latencies` as `completed`, the latencies within `slo` as
+    /// `deadline_hits` (every one without an SLO), and spreads the hits over
+    /// the run's `makespan` as `goodput_qps`.
+    pub fn new(
+        class: PriorityClass,
+        submitted: usize,
+        ttfts: Vec<Time>,
+        latencies: Vec<Time>,
+        tbt: LatencyStats,
+        slo: Option<Time>,
+        makespan: Time,
+    ) -> Self {
+        let deadline_hits = match slo {
+            Some(slo) => latencies.iter().filter(|&&l| l <= slo).count(),
+            None => latencies.len(),
+        };
+        ClassReport {
+            class,
+            submitted,
+            completed: latencies.len(),
+            ttft: LatencyStats::from_sorted(&SortedSamples::new(ttfts)),
+            query_latency: LatencyStats::from_sorted(&SortedSamples::new(latencies)),
+            tbt,
+            deadline_hits,
+            goodput_qps: if makespan > Time::ZERO {
+                deadline_hits as f64 / makespan.as_secs()
+            } else {
+                0.0
+            },
+        }
+    }
+}
+
 /// The result of one request-level serving simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
@@ -288,34 +325,17 @@ impl ServingReport {
             .submitted_by_class
             .iter()
             .map(|&(class, submitted)| {
-                let of_class: Vec<&RequestRecord> =
-                    records.iter().filter(|r| r.spec.class == class).collect();
-                let ttfts = SortedSamples::new(of_class.iter().map(|r| r.ttft()).collect());
-                let lats = SortedSamples::new(of_class.iter().map(|r| r.query_latency()).collect());
-                let hits = match totals.slo {
-                    Some(slo) => of_class.iter().filter(|r| r.query_latency() <= slo).count(),
-                    None => of_class.len(),
-                };
-                let tbt = totals
-                    .tbt_by_class
-                    .iter()
-                    .find(|(c, _)| *c == class)
-                    .map(|(_, h)| LatencyStats::from_histogram(h))
-                    .unwrap_or_default();
-                ClassReport {
+                let of_class = || records.iter().filter(move |r| r.spec.class == class);
+                let tbt = totals.tbt_by_class.iter().find(|(c, _)| *c == class);
+                ClassReport::new(
                     class,
                     submitted,
-                    completed: of_class.len(),
-                    ttft: LatencyStats::from_sorted(&ttfts),
-                    query_latency: LatencyStats::from_sorted(&lats),
-                    tbt,
-                    deadline_hits: hits,
-                    goodput_qps: if makespan > Time::ZERO {
-                        hits as f64 / makespan.as_secs()
-                    } else {
-                        0.0
-                    },
-                }
+                    of_class().map(|r| r.ttft()).collect(),
+                    of_class().map(|r| r.query_latency()).collect(),
+                    tbt.map(|(_, h)| LatencyStats::from_histogram(h)).unwrap_or_default(),
+                    totals.slo,
+                    makespan,
+                )
             })
             .collect();
         ServingReport {
