@@ -35,19 +35,24 @@
 //!    combined disagg + chaos + recovery + admission run is bit-identical
 //!    across 1/2/8 workers under the extended conservation invariant
 //!    `completed + rejected + dropped + shed = offered`, and an
-//!    event-free schedule reproduces the fault-free split driver exactly.
+//!    event-free schedule reproduces the fault-free split driver exactly;
+//! 9. the public report folds rebuild a run's report from its outcomes:
+//!    `FleetReport::from_outcomes` for a colocated run under a latency SLO
+//!    (class rows judged against the SLO the groups ran under), and
+//!    `FleetReport::from_outcomes_disagg` for a faulted split run.
 
 use cent_cluster::{
     simulate_fleet, simulate_fleet_disagg, simulate_fleet_instrumented, AdmissionPolicy,
-    ChaosRates, DisaggConfig, FaultPlan, FaultSchedule, FaultSpec, FleetOptions, JoinShortestQueue,
-    PowerOfTwoChoices, RecoveryMode, RetryPolicy, RoundRobin, RoutingPolicy, SessionAffinity,
+    ChaosRates, DisaggConfig, FaultPlan, FaultSchedule, FaultSpec, FleetOptions, FleetReport,
+    JoinShortestQueue, PowerOfTwoChoices, RecoveryMode, RetryPolicy, RoundRobin, RoutingPolicy,
+    SessionAffinity,
 };
 use cent_cost::KvSwapCost;
 use cent_cxl::FabricConfig;
 use cent_model::ModelConfig;
 use cent_serving::{
     KvBudget, KvMode, LatencyStats, LengthSampler, LoadCurve, PriorityClass, RequestSpec,
-    SchedulerConfig, ServingSystem, Workload,
+    SchedulerConfig, ServeOptions, ServingSystem, Workload,
 };
 use cent_types::{ByteSize, SortedSamples, Time, TimeHistogram};
 
@@ -956,4 +961,75 @@ fn standby_spares_promote_to_cover_crashes() {
     assert_conserved(&out, trace.len());
     // The promoted spare (the last decode group) actually served.
     assert!(out.groups[4].report.completed > 0, "the promoted spare never served");
+}
+
+#[test]
+fn from_outcomes_rebuilds_a_colocated_report_under_an_slo() {
+    // Two classes past a 4-group fleet's capacity, under an SLO tight
+    // enough that queueing misses it: the rebuilt class rows must count
+    // deadline hits against the SLO the groups ran under.
+    let mut trace = fixed_trace(90.0, 53, 10.0, 64, 64);
+    for spec in trace.iter_mut().skip(1).step_by(2) {
+        spec.class = PriorityClass::BATCH;
+    }
+    let slo = Time::from_secs_f64(0.2);
+    let opts = FleetOptions::new(4)
+        .with_epoch(Time::from_secs_f64(0.05))
+        .with_serve(ServeOptions::default().with_slo(slo));
+    let mut router = JoinShortestQueue;
+    let out = simulate_fleet_instrumented(&group_system(), &trace, 90.0, &mut router, &opts);
+    assert_eq!(out.report.classes.len(), 2, "both classes report a row");
+    assert!(
+        out.report.classes.iter().any(|c| c.deadline_hits < c.completed),
+        "the SLO must reject some completions: {:?}",
+        out.report.classes
+    );
+    assert!(out.report.classes.iter().any(|c| c.deadline_hits > 0), "the SLO must admit some");
+    assert_eq!(FleetReport::from_outcomes(90.0, &out.groups), out.report);
+}
+
+#[test]
+fn from_outcomes_disagg_rebuilds_a_faulted_split_report() {
+    // Disagg chaos over a volatile pool with tight retries: decode-tier
+    // crashes send requests back through the prefill tier (chains of
+    // several prefill records) and some run out of attempts (drops). The
+    // rebuilt report joins the same phase records, drops and SLO hits.
+    let trace = fixed_trace(60.0, 307, 20.0, 64, 48);
+    let cfg = DisaggConfig::split(2, 2, 64_000, handoff_cost())
+        .with_prefill_chunk(32)
+        .with_volatile_pool();
+    let rates = ChaosRates { crash_rate: 1.0 / 4.0, mean_outage_s: 2.0, ..ChaosRates::default() };
+    let faults = FaultPlan::chaos_disagg(0xFA9, &cfg.roles, Time::from_secs_f64(20.0), &rates);
+    let slo = Time::from_secs_f64(0.25);
+    let mut router = JoinShortestQueue;
+    let out = simulate_fleet_disagg(
+        &group_system(),
+        &trace,
+        60.0,
+        &mut router,
+        &FleetOptions::new(4)
+            .with_epoch(Time::from_secs_f64(0.05))
+            .with_serve(ServeOptions::default().with_slo(slo))
+            .with_faults(faults)
+            .with_retry(RetryPolicy { max_attempts: 2, backoff: Time::from_us(100_000) }),
+        &cfg,
+    );
+    assert!(out.faults.pool_lost > 0, "a volatile pool loses crashed claims");
+    assert!(!out.faults.dropped.is_empty(), "two attempts must drop some requests");
+    let mut prefill_ids: Vec<u64> =
+        out.groups[..2].iter().flat_map(|o| o.records.iter().map(|r| r.spec.id.0)).collect();
+    let prefill_records = prefill_ids.len();
+    prefill_ids.sort_unstable();
+    prefill_ids.dedup();
+    assert!(prefill_records > prefill_ids.len(), "lost copies must re-prefill");
+    assert!(out.report.classes.iter().any(|c| c.deadline_hits < c.completed), "SLO engaged");
+    let rebuilt = FleetReport::from_outcomes_disagg(
+        60.0,
+        &out.groups,
+        &cfg.roles,
+        &out.log,
+        Some(&out.faults),
+        Some(slo),
+    );
+    assert_eq!(rebuilt, out.report);
 }
