@@ -24,8 +24,15 @@ fn main() {
     let mut energy_rows = Vec::new();
     let mut ratios = Vec::new();
     for (cfg, devices, gpus) in cases {
-        let Ok(cent) = evaluate(&cfg, devices, Strategy::PipelineParallel, 4096) else {
-            continue;
+        let cent = match evaluate(&cfg, devices, Strategy::PipelineParallel, 4096) {
+            Ok(cent) => cent,
+            Err(e) => {
+                eprintln!(
+                    "fig15: {} at 4096-token context on {devices} devices failed: {e}",
+                    cfg.name
+                );
+                continue;
+            }
         };
         // Device power from the simulated block activity, scaled to the
         // blocks each device hosts.

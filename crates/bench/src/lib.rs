@@ -1,8 +1,10 @@
 //! Shared harness for the experiment binaries that regenerate every table
-//! and figure of the CENT paper (see DESIGN.md's experiment index).
+//! and figure of the CENT paper (the `table*`, `fig*` and `ablations`
+//! binaries, which `all_experiments` runs in sequence) and for the
+//! beyond-paper `sweep`.
 //!
-//! Each binary prints the paper-style rows to stdout and appends a JSON
-//! record under `results/` so EXPERIMENTS.md can cite the measured values.
+//! Each binary prints the paper-style rows to stdout and writes one JSON
+//! record under `results/`, in the envelope `docs/SCHEMAS.md` documents.
 
 #![forbid(unsafe_code)]
 
@@ -87,7 +89,8 @@ impl Report {
     }
 
     /// Prints the report to stdout in a paper-style table and writes
-    /// `results/<id>.json`.
+    /// `results/<id>.json`, panicking with the path if it cannot: a run
+    /// that exits 0 has replaced the previous run's file.
     pub fn emit(&self) {
         println!("== {} — {} ==", self.id, self.title);
         println!("   paper: {}", self.paper_reference);
@@ -99,9 +102,13 @@ impl Report {
         }
         println!();
         let dir = results_dir();
-        let _ = fs::create_dir_all(&dir);
+        if let Err(e) = fs::create_dir_all(&dir) {
+            panic!("cannot create {}: {e}", dir.display());
+        }
         let path = dir.join(format!("{}.json", self.id));
-        let _ = fs::write(path, self.to_json());
+        if let Err(e) = fs::write(&path, self.to_json()) {
+            panic!("cannot write {}: {e}", path.display());
+        }
     }
 
     /// Serialises the report as pretty-printed JSON (hand-rolled; the build
