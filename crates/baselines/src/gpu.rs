@@ -1,7 +1,7 @@
 //! Analytical A100 GPU baseline running vLLM-style serving.
 //!
-//! Substitutes the paper's measured 4×A100 testbed (see DESIGN.md): a
-//! roofline + memory-capacity model that reproduces the *shapes* the paper
+//! Substitutes an analytical model for the paper's measured 4×A100 testbed:
+//! a roofline + memory-capacity model that reproduces the *shapes* the paper
 //! reports — throughput plateaus versus batch size (Figure 1), saturation at
 //! smaller batches for longer contexts, prefill compute-bound vs decode
 //! memory-bound behaviour, ~21% compute utilization (Figure 2b), and

@@ -1,8 +1,7 @@
 //! Analytical baselines for the CENT evaluation (§2, §7).
 //!
 //! The paper measures a real 4×A100 server and models three PIM/PNM
-//! systems; this crate substitutes calibrated analytical models (see the
-//! substitution table in DESIGN.md):
+//! systems; this crate substitutes calibrated analytical models for each:
 //!
 //! * [`GpuSystem`] — A100 roofline + vLLM batching/capacity model
 //!   (Figures 1, 2, 13-15) with the TDP [`throttle_trace`] of Figure 15b;

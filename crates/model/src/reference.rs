@@ -1,7 +1,8 @@
 //! f32 reference implementation of the transformer block.
 //!
 //! This is the ground truth the PIM/PNM functional simulation is verified
-//! against (DESIGN.md "Verification strategy"). It follows Figure 3(c) of
+//! against (`cent_core::verify_block` runs both on the same weights and
+//! inputs and compares their outputs). It follows Figure 3(c) of
 //! the paper exactly: RMSNorm → QKV projections → RoPE → GQA attention with
 //! KV cache → output projection → residual → RMSNorm → gated-SiLU FFN →
 //! residual.

@@ -6,8 +6,8 @@
 //! 250 mW per BOOM core, and the Table 5 CXL-controller figures. Energy
 //! constants are calibrated so a 32-device Llama2-70B pipeline lands near
 //! the paper's reported 32.4 W per device with 54.5% in PIM operations and
-//! 30.2% in activate/precharge (§7.2) — the calibration is documented in
-//! DESIGN.md.
+//! 30.2% in activate/precharge (§7.2) — the unit test
+//! `device_power_lands_near_paper_value` pins that calibration.
 
 #![forbid(unsafe_code)]
 
