@@ -1,5 +1,5 @@
 //! The beyond-paper sweeps over the paper's PP/8 Llama2-7B deployment, one
-//! table entry each (see [`SWEEPS`]):
+//! entry of the experiment table each:
 //!
 //! * `serving_load` — offered load vs p99 latency, the serving-level
 //!   counterpart of the paper's QoS study (§7.1) →
@@ -14,20 +14,16 @@
 //! * `disagg` — colocated vs prefill/decode tier splits over the shared KV
 //!   pool → `results/BENCH_disagg.json`.
 //!
-//! Run with `cargo run --release -p cent-bench --bin sweep -- [--smoke]
-//! [name…]`; no names runs every entry. `--smoke` is the CI mode: each
-//! entry runs a smaller shape. The fleet entries assert their invariants
-//! in both modes (see each entry's docs). `serving_load` takes under a
-//! second in full, so it has no smaller shape and runs the same in both
-//! modes.
+//! `--smoke` is the CI mode: each entry runs a smaller shape. The fleet
+//! entries assert their invariants in both modes (see each entry's docs).
+//! `serving_load` takes under a second in full, so it has no smaller shape
+//! and runs the same in both modes.
 //!
 //! Every sweep is bit-for-bit reproducible: traces are seeded, lower load
 //! points derive their traces by exact Poisson thinning of the top rate's,
 //! and parallel points return in sweep order.
 
-use cent_bench::{
-    llama2_7b_pp8, pool_split, sharegpt, sharegpt_capacity, synthetic, Report, SeriesTable,
-};
+use cent_bench::{pool_split, sharegpt, sharegpt_capacity, synthetic, Report, SeriesTable};
 use cent_cluster::{
     simulate_fleet, simulate_fleet_disagg, simulate_fleet_instrumented, AdmissionPolicy,
     ChaosRates, DisaggConfig, DisaggOutcome, FaultPlan, FaultSchedule, FaultSpec, FleetOptions,
@@ -40,37 +36,6 @@ use cent_serving::{
     ShortestRemainingDecode, Workload,
 };
 use cent_types::Time;
-
-/// A sweep: runs on the planned PP/8 deployment, given the smoke flag.
-type Sweep = fn(&ServingSystem, bool);
-
-/// Every sweep by its command-line name.
-const SWEEPS: [(&str, Sweep); 5] = [
-    ("serving_load", serving_load),
-    ("serving_policy", serving_policy),
-    ("cluster", cluster),
-    ("fault", fault),
-    ("disagg", disagg),
-];
-
-fn main() {
-    let (flags, names): (Vec<String>, Vec<String>) =
-        std::env::args().skip(1).partition(|arg| arg == "--smoke");
-    let known = SWEEPS.map(|(name, _)| name);
-    for name in &names {
-        assert!(
-            known.contains(&name.as_str()),
-            "unknown sweep {name:?} (usage: sweep [--smoke] {known:?})"
-        );
-    }
-    let system = llama2_7b_pp8();
-    for (name, run) in
-        SWEEPS.iter().filter(|(n, _)| names.is_empty() || names.iter().any(|m| m == n))
-    {
-        println!("──────── {name} ────────");
-        run(&system, !flags.is_empty());
-    }
-}
 
 /// Runs `f` on every item in its own scoped thread and returns the results
 /// in item order, so the output never depends on thread interleaving.
@@ -116,7 +81,7 @@ type RouterRows = Vec<(&'static str, Vec<(String, FleetReport)>)>;
 /// limits, so the anchor stays right for prompt-heavy what-ifs too. Traces
 /// the classic throughput–latency knee. The hour-long trace is generated
 /// once at the top rate; every lower point thins it.
-fn serving_load(system: &ServingSystem, _smoke: bool) {
+pub fn serving_load(system: &ServingSystem, _smoke: bool) {
     const LOADS: [f64; 8] = [0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.25, 1.5];
     let capacity = system.capacity_qps(512, 3584);
     let max_load = LOADS[LOADS.len() - 1];
@@ -177,7 +142,7 @@ fn serve_grid(
 /// saturated load with all three spill modes, written to
 /// `results/serving_policy_sweep_smoke.json`; it asserts every request is
 /// accounted for and that exactly the swap-capable modes swapped.
-fn serving_policy(system: &ServingSystem, smoke: bool) {
+pub fn serving_policy(system: &ServingSystem, smoke: bool) {
     if smoke {
         return serving_policy_smoke();
     }
@@ -305,7 +270,7 @@ fn serving_policy_smoke() {
 /// Asserts that every generated request is routed, served and reported
 /// exactly once per point. Smoke: 32 groups, two load points over a
 /// two-minute diurnal period.
-fn cluster(system: &ServingSystem, smoke: bool) {
+pub fn cluster(system: &ServingSystem, smoke: bool) {
     let (groups, horizon_s) = if smoke { (32, 120.0) } else { (256, 1800.0) };
     let loads: &[f64] = if smoke { &[0.6, 1.0] } else { &[0.4, 0.6, 0.8, 1.0] };
     let fleet_capacity = sharegpt_capacity(system, groups);
@@ -384,7 +349,7 @@ fn cluster(system: &ServingSystem, smoke: bool) {
 /// The router grid asserts conservation (`completed + rejected + dropped
 /// = offered`) and, under crashes, that failover engaged (availability
 /// dented, orphans retried). Smoke: 16 groups and two crash rates.
-fn fault(system: &ServingSystem, smoke: bool) {
+pub fn fault(system: &ServingSystem, smoke: bool) {
     let (groups, horizon_s) = if smoke { (16, 120.0) } else { (64, 600.0) };
     // Crashes per group-second; 0 is the healthy reference point.
     let crash_rates: &[f64] =
@@ -518,7 +483,7 @@ fn fault(system: &ServingSystem, smoke: bool) {
 /// fleet driver bit for bit and that every split engaged handoffs, held
 /// the pool bound and is bit-identical across 1 vs 2 worker threads.
 /// Smoke: a shorter trace, colocated plus one 4P/4D split.
-fn disagg(system: &ServingSystem, smoke: bool) {
+pub fn disagg(system: &ServingSystem, smoke: bool) {
     const GROUPS: usize = 8;
     let horizon_s = if smoke { 60.0 } else { 240.0 };
     let offered = 0.6 * sharegpt_capacity(system, GROUPS);

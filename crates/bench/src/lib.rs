@@ -1,10 +1,10 @@
-//! Shared harness for the experiment binaries that regenerate every table
-//! and figure of the CENT paper (the `table*`, `fig*` and `ablations`
-//! binaries, which `all_experiments` runs in sequence) and for the
-//! beyond-paper `sweep`.
+//! Shared harness for the one `experiments` binary, whose table of entries
+//! regenerates every table and figure of the CENT paper and runs the
+//! beyond-paper sweeps, and for `sim_perf`.
 //!
-//! Each binary prints the paper-style rows to stdout and writes one JSON
-//! record under `results/`, in the envelope `docs/SCHEMAS.md` documents.
+//! Each experiment prints the paper-style rows to stdout and writes one
+//! JSON record under `results/`, in the envelope `docs/SCHEMAS.md`
+//! documents.
 
 #![forbid(unsafe_code)]
 

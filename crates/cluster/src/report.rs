@@ -460,9 +460,8 @@ impl FleetReport {
             }
         });
         let degraded = faults.map(|flog| {
-            let first_tokens = records().map(|r| (r.spec.id.0, r.first_token)).collect();
             let completions: Vec<Time> = requests().filter_map(|r| r.finished()).collect();
-            degraded_section(flog, first_tokens, &completions, makespan, outcomes.len())
+            degraded_section(flog, &entry, &decode, &completions, makespan, outcomes.len())
         });
 
         FleetReport {
@@ -660,15 +659,14 @@ impl FleetReport {
 
 /// Builds the degraded-mode section of a run that tracked faults.
 ///
-/// `first_tokens` holds one `(id, first token)` entry per *record* — a
-/// request redispatched through the prefill tier leaves several — and the
-/// failover/rescue joins pick, per event, the earliest first token at or
-/// after the crash instant. `completions` holds the completion instant of
-/// each completed *request* (its phase records already joined), so goodput
-/// counts requests, not phases.
+/// `entry` and `decode` are the fold's records, sorted as [`requests`]
+/// takes them. `completions` holds the completion instant of each completed
+/// *request* (its phase records already joined), so goodput counts
+/// requests, not phases.
 fn degraded_section(
     log: &FaultLog,
-    mut first_tokens: Vec<(u64, Time)>,
+    entry: &[(u64, &RequestRecord)],
+    decode: &[&RequestRecord],
     completions: &[Time],
     makespan: Time,
     groups: usize,
@@ -711,18 +709,16 @@ fn degraded_section(
 
     // Recovery joins: for each event whose request later emitted a token,
     // the crash instant to its first token at or after it. A request can
-    // leave several records (re-prefills), so pick the earliest qualifying
-    // token rather than assuming one record per id.
-    first_tokens.sort_unstable();
+    // leave several entry records (re-prefills) and a decode record, so pick
+    // the earliest qualifying token among all of them.
     let join = |events: &[(RequestId, Time)]| -> LatencyStats {
         let mut samples = Vec::with_capacity(events.len());
         for &(id, crash_t) in events {
-            let pos = first_tokens.partition_point(|&(i, ft)| (i, ft) < (id.0, crash_t));
-            if let Some(&(i, ft)) = first_tokens.get(pos) {
-                if i == id.0 {
-                    samples.push(ft.saturating_sub(crash_t));
-                }
-            }
+            let start = entry.partition_point(|e| e.0 < id.0);
+            let chain = entry[start..].iter().take_while(|e| e.0 == id.0).map(|e| e.1);
+            let decoded = decode.binary_search_by_key(&id.0, |r| r.spec.id.0).map(|i| decode[i]);
+            let first = chain.chain(decoded.ok()).map(|r| r.first_token).filter(|&t| t >= crash_t);
+            samples.extend(first.min().map(|t| t.saturating_sub(crash_t)));
         }
         LatencyStats::from_sorted(&SortedSamples::new(samples))
     };
@@ -848,5 +844,68 @@ impl std::fmt::Display for FleetReport {
             )?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cent_serving::{RequestSpec, SessionId};
+
+    fn record(id: u64, first_token_us: u64, finished_us: u64) -> RequestRecord {
+        RequestRecord {
+            spec: RequestSpec {
+                id: RequestId(id),
+                arrival: Time::ZERO,
+                prompt: 8,
+                decode: 4,
+                class: PriorityClass(0),
+                session: SessionId(id),
+            },
+            admitted: Time::ZERO,
+            first_token: Time::from_us(first_token_us),
+            finished: Time::from_us(finished_us),
+            replica: 0,
+            preemptions: 0,
+        }
+    }
+
+    #[test]
+    fn recovery_joins_take_the_earliest_later_token_of_a_chain_and_its_decode_record() {
+        // Request 7 was prefilled twice (first tokens at 10 and 30 us) and
+        // decoded from 50 us; request 8's tokens (25 and 45 us) interleave.
+        let (a, b, c) = (record(7, 10, 20), record(7, 30, 40), record(8, 25, 27));
+        let entry = [(7, &a), (7, &b), (8, &c)];
+        let (d7, d8) = (record(7, 50, 60), record(8, 45, 55));
+        let decode = [&d7, &d8];
+        // (request, crash instant, expected sample), all in us.
+        let cases = [
+            (7, 5, Some(5)),   // before every token: the first prefill's
+            (7, 12, Some(18)), // between the prefills: the second prefill's
+            (7, 35, Some(15)), // after both prefills: the decode record's
+            (8, 21, Some(4)),
+            (8, 26, Some(19)),
+            (7, 60, None), // after every token: no sample
+        ];
+        for (id, crash_us, sample_us) in cases {
+            let events = vec![(RequestId(id), Time::from_us(crash_us))];
+            let log =
+                FaultLog { orphaned: events.clone(), pool_rescued: events, ..FaultLog::default() };
+            let d = degraded_section(&log, &entry, &decode, &[], Time::from_us(100), 2);
+            let samples: Vec<Time> = sample_us.into_iter().map(Time::from_us).collect();
+            let want = LatencyStats::from_samples(&samples);
+            assert_eq!(
+                (d.failover_latency, d.rescue_latency),
+                (want, want),
+                "request {id}, crash at {crash_us} us"
+            );
+        }
+        // All events at once: the unmatched one adds no sample (a zero
+        // sample would pull the mean down).
+        let events: Vec<_> = cases.iter().map(|c| (RequestId(c.0), Time::from_us(c.1))).collect();
+        let log = FaultLog { orphaned: events, ..FaultLog::default() };
+        let d = degraded_section(&log, &entry, &decode, &[], Time::from_us(100), 2);
+        let samples: Vec<Time> = cases.iter().filter_map(|c| c.2).map(Time::from_us).collect();
+        assert_eq!(d.failover_latency, LatencyStats::from_samples(&samples));
     }
 }

@@ -114,7 +114,7 @@ impl StepIntegral {
 /// Run-level counters gathered by the event loop, handed to
 /// [`ServingReport::from_records`] alongside the completed records.
 #[derive(Debug, Clone)]
-pub(crate) struct RunTotals {
+pub(crate) struct RunTotals<'a> {
     /// Mean offered load, queries/second.
     pub offered_qps: f64,
     /// Requests that arrived within the horizon.
@@ -147,14 +147,14 @@ pub(crate) struct RunTotals {
     pub host_kv_utilization: f64,
     /// Per-gap time-between-tokens stream (one sample per generated token
     /// after a request's first, so long queries weigh proportionally).
-    pub tbt: TimeHistogram,
+    pub tbt: &'a TimeHistogram,
     /// Arrivals per priority class (sorted by class; rejections included).
-    pub submitted_by_class: Vec<(PriorityClass, usize)>,
+    pub submitted_by_class: &'a [(PriorityClass, usize)],
     /// Per-class TBT streams (sorted by class). A class has an entry once
     /// it emitted a fast-forwarded span or a token after its first, so the
     /// keys can be fewer than those of `submitted_by_class`: a class whose
     /// arrivals were all rejected or single-token has none.
-    pub tbt_by_class: Vec<(PriorityClass, TimeHistogram)>,
+    pub tbt_by_class: &'a [(PriorityClass, TimeHistogram)],
     /// Latency SLO used for goodput accounting, if any.
     pub slo: Option<Time>,
 }
@@ -302,7 +302,7 @@ pub struct ServingReport {
 impl ServingReport {
     /// Builds the report from completed request records and run-level
     /// counters gathered by the event loop.
-    pub(crate) fn from_records(records: &[RequestRecord], totals: RunTotals) -> Self {
+    pub(crate) fn from_records(records: &[RequestRecord], totals: RunTotals<'_>) -> Self {
         let first_arrival = records.iter().map(|r| r.spec.arrival).min().unwrap_or(Time::ZERO);
         let last_finish = records.iter().map(|r| r.finished).max().unwrap_or(Time::ZERO);
         let makespan = last_finish.saturating_sub(first_arrival);
@@ -351,7 +351,7 @@ impl ServingReport {
             ttft: LatencyStats::from_sorted(&ttfts),
             query_latency: LatencyStats::from_sorted(&latencies),
             queue_wait: LatencyStats::from_sorted(&waits),
-            tbt: LatencyStats::from_histogram(&totals.tbt),
+            tbt: LatencyStats::from_histogram(totals.tbt),
             slot_utilization: totals.slot_utilization,
             peak_kv_fraction: totals.peak_kv_fraction,
             kv_utilization: totals.kv_utilization,
@@ -595,7 +595,11 @@ mod tests {
         }
     }
 
-    fn totals(slo: Option<Time>, by_class: &[(u8, usize)]) -> RunTotals {
+    fn totals<'a>(
+        slo: Option<Time>,
+        by_class: &'a [(PriorityClass, usize)],
+        tbt: &'a TimeHistogram,
+    ) -> RunTotals<'a> {
         RunTotals {
             offered_qps: 1.0,
             submitted: by_class.iter().map(|&(_, n)| n).sum(),
@@ -612,9 +616,9 @@ mod tests {
             host_pool_tokens: 0,
             host_kv_peak_tokens: 0,
             host_kv_utilization: 0.0,
-            tbt: TimeHistogram::new(),
-            submitted_by_class: by_class.iter().map(|&(c, n)| (PriorityClass(c), n)).collect(),
-            tbt_by_class: Vec::new(),
+            tbt,
+            submitted_by_class: by_class,
+            tbt_by_class: &[],
             slo,
         }
     }
@@ -624,13 +628,14 @@ mod tests {
         // Request 0 finishes 50 us after arrival, request 1 takes 500 us.
         let records = [record(0, 0, 50, 0), record(1, 100, 600, 0)];
         let slo = Some(Time::from_us(100));
-        let report = ServingReport::from_records(&records, totals(slo, &[(0, 2)]));
+        let (by_class, tbt) = ([(PriorityClass(0), 2)], TimeHistogram::new());
+        let report = ServingReport::from_records(&records, totals(slo, &by_class, &tbt));
         assert_eq!(report.deadline_hits, 1);
         assert!((report.slo_attainment() - 0.5).abs() < 1e-12);
         // Goodput = 1 hit over the 600 us makespan.
         assert!((report.goodput_qps - 1.0 / 600e-6).abs() < 1e-3);
         // Without an SLO every completion counts.
-        let report = ServingReport::from_records(&records, totals(None, &[(0, 2)]));
+        let report = ServingReport::from_records(&records, totals(None, &by_class, &tbt));
         assert_eq!(report.deadline_hits, 2);
         assert_eq!(report.slo_attainment(), 1.0);
     }
@@ -640,7 +645,9 @@ mod tests {
         // Interactive request 0 meets the SLO; background 1 and 2 miss it.
         let records = [record(0, 0, 50, 0), record(1, 100, 600, 1), record(2, 120, 700, 1)];
         let slo = Some(Time::from_us(100));
-        let report = ServingReport::from_records(&records, totals(slo, &[(0, 1), (1, 2)]));
+        let by_class = [(PriorityClass(0), 1), (PriorityClass(1), 2)];
+        let tbt = TimeHistogram::new();
+        let report = ServingReport::from_records(&records, totals(slo, &by_class, &tbt));
         assert_eq!(report.classes.len(), 2);
         let (hi, lo) = (&report.classes[0], &report.classes[1]);
         assert_eq!(

@@ -1609,9 +1609,6 @@ impl Core {
                 tbt_by_class.push((PriorityClass(class), h));
             }
         }
-        // The merge-facing populations are cloned out before RunTotals
-        // consumes them: per-group histograms must survive in the outcome
-        // so the cluster can fold them order-independently.
         let submitted_by_class: Vec<(PriorityClass, usize)> =
             self.submitted_by_class.into_iter().collect();
         let report = ServingReport::from_records(
@@ -1632,9 +1629,9 @@ impl Core {
                 host_pool_tokens: self.spill.host_pool_tokens,
                 host_kv_peak_tokens: self.host_peak,
                 host_kv_utilization,
-                tbt: tbt.clone(),
-                submitted_by_class: submitted_by_class.clone(),
-                tbt_by_class: tbt_by_class.clone(),
+                tbt: &tbt,
+                submitted_by_class: &submitted_by_class,
+                tbt_by_class: &tbt_by_class,
                 slo: self.slo,
             },
         );
