@@ -13,7 +13,7 @@ use std::sync::OnceLock;
 
 use cent_cxl::CommunicationEngine;
 use cent_dram::ActivityCounters;
-use cent_isa::{Instruction, MacOperand};
+use cent_isa::{riscv_pc, Instruction, MacOperand};
 use cent_pim::{ActivationFunction, MacSource, PimChannel};
 use cent_pnm::PnmStats;
 use cent_pnm::{assemble, programs, PnmCore, PnmUnits, SharedBuffer};
@@ -23,29 +23,6 @@ use cent_types::consts::{
 use cent_types::{Beat, CentError, CentResult, ChannelId, ChannelMask, DeviceId, SbSlot, Time};
 
 use crate::breakdown::LatencyBreakdown;
-
-/// Well-known start PCs of the canned PNM RISC-V routines (the host loads
-/// these into the cores' 64 KB buffers at boot, §4.2).
-pub mod riscv_pc {
-    /// `1/sqrt(x)` of one scalar.
-    pub const RSQRT: u32 = 0x100;
-    /// `1/x` of one scalar.
-    pub const RECIP: u32 = 0x200;
-    /// RMSNorm scale `1/sqrt(sum/n + eps)`.
-    pub const RMSNORM_SCALE: u32 = 0x300;
-    /// Rotary-embedding combine of four product arrays.
-    pub const ROPE_COMBINE: u32 = 0x400;
-    /// Element-wise vector addition (residual connections).
-    pub const VEC_ADD: u32 = 0x500;
-    /// Vector × scalar scaling.
-    pub const VEC_SCALE: u32 = 0x600;
-    /// Even/odd deinterleave (RoPE complex regrouping).
-    pub const DEINTERLEAVE: u32 = 0x700;
-    /// Scalar minus a count (softmax padding correction).
-    pub const SUB_COUNT: u32 = 0x800;
-    /// Zero the tail lanes of one beat (softmax pad clearing).
-    pub const ZERO_TAIL: u32 = 0x900;
-}
 
 /// Each canned routine at its start PC.
 const ROUTINES: [(u32, &str); 9] = [
@@ -139,7 +116,7 @@ impl DeviceConfig {
 ///
 /// ```
 /// use cent_device::{CxlDevice, DeviceConfig};
-/// use cent_isa::{Instruction, MacOperand};
+/// use cent_isa::{riscv_pc, Instruction, MacOperand};
 /// use cent_types::*;
 ///
 /// # fn main() -> Result<(), cent_types::CentError> {

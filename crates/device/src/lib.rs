@@ -19,4 +19,4 @@ mod breakdown;
 mod device;
 
 pub use breakdown::LatencyBreakdown;
-pub use device::{riscv_pc, CxlDevice, DeviceConfig};
+pub use device::{CxlDevice, DeviceConfig};

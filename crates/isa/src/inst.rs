@@ -17,6 +17,44 @@ use core::fmt;
 
 use cent_types::{AccRegId, BankId, ChannelId, ChannelMask, ColAddr, DeviceId, RowAddr, SbSlot};
 
+/// Start PCs of the canned PNM RISC-V routines a `RISCV` instruction calls
+/// (the host loads them into the cores' 64 KB buffers at boot, §4.2).
+pub mod riscv_pc {
+    /// `1/sqrt(x)` of one scalar.
+    pub const RSQRT: u32 = 0x100;
+    /// `1/x` of one scalar.
+    pub const RECIP: u32 = 0x200;
+    /// RMSNorm scale `1/sqrt(sum/n + eps)`.
+    pub const RMSNORM_SCALE: u32 = 0x300;
+    /// Rotary-embedding combine of four product arrays.
+    pub const ROPE_COMBINE: u32 = 0x400;
+    /// Element-wise vector addition (residual connections).
+    pub const VEC_ADD: u32 = 0x500;
+    /// Vector × scalar scaling.
+    pub const VEC_SCALE: u32 = 0x600;
+    /// Even/odd deinterleave (RoPE complex regrouping).
+    pub const DEINTERLEAVE: u32 = 0x700;
+    /// Scalar minus a count (softmax padding correction).
+    pub const SUB_COUNT: u32 = 0x800;
+    /// Zero the tail lanes of one beat (softmax pad clearing).
+    pub const ZERO_TAIL: u32 = 0x900;
+}
+
+/// `AFid` encodings of the activation functions in the PU lookup tables
+/// (the operand of `AF`).
+pub mod af_id {
+    /// Logistic sigmoid.
+    pub const SIGMOID: u8 = 0;
+    /// Hyperbolic tangent.
+    pub const TANH: u8 = 1;
+    /// Natural exponent.
+    pub const EXP: u8 = 2;
+    /// Gaussian error linear unit.
+    pub const GELU: u8 = 3;
+    /// Sigmoid linear unit (SiLU/Swish).
+    pub const SILU: u8 = 4;
+}
+
 /// Second-operand source of `MAC_ABK` (Figure 7a datapath mux).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MacOperand {

@@ -11,7 +11,10 @@
 //! * [`encode`]/[`decode`] — the fixed 16-byte binary format streamed into
 //!   each device's 2 MB instruction buffer (128 K instructions);
 //! * [`analyze`] — trace statistics incl. the MAC-FLOP fraction behind the
-//!   paper's hierarchical PIM-PNM design argument.
+//!   paper's hierarchical PIM-PNM design argument;
+//! * [`riscv_pc`] and [`af_id`] — the canned RISC-V routine PCs and the
+//!   activation-function ids, defined once for the compiler that emits
+//!   them and the device that executes them.
 
 #![forbid(unsafe_code)]
 
@@ -21,4 +24,4 @@ mod inst;
 
 pub use encode::{decode, decode_trace, encode, encode_trace, INST_BYTES};
 pub use expand::{analyze, flop_count, micro_op_count, TraceStats};
-pub use inst::{Instruction, MacOperand};
+pub use inst::{af_id, riscv_pc, Instruction, MacOperand};

@@ -7,6 +7,7 @@
 //! `[-8, 8]`, which keeps the interpolation error well below one BF16 ULP for
 //! the supported functions.
 
+use cent_isa::af_id;
 use cent_types::Bf16;
 
 /// Activation functions implemented in the PU lookup tables (`AFid` in the
@@ -39,11 +40,11 @@ impl ActivationFunction {
     /// The `AFid` encoding used in CENT instructions.
     pub fn id(self) -> u8 {
         match self {
-            ActivationFunction::Sigmoid => 0,
-            ActivationFunction::Tanh => 1,
-            ActivationFunction::Exp => 2,
-            ActivationFunction::Gelu => 3,
-            ActivationFunction::Silu => 4,
+            ActivationFunction::Sigmoid => af_id::SIGMOID,
+            ActivationFunction::Tanh => af_id::TANH,
+            ActivationFunction::Exp => af_id::EXP,
+            ActivationFunction::Gelu => af_id::GELU,
+            ActivationFunction::Silu => af_id::SILU,
         }
     }
 
