@@ -21,11 +21,11 @@
 use cent_types::consts::{ACC_REGS_PER_PU, COLS_PER_ROW, LANES_PER_BEAT};
 use cent_types::{BankId, CentError, CentResult, ChannelId, ChannelMask, ColAddr, RowAddr, SbSlot};
 
-use cent_isa::Instruction;
+use cent_isa::{af_id, riscv_pc, Instruction};
 use cent_model::{FfnKind, ModelConfig, PositionalKind};
 
-use crate::builder::{pc, BlockPhase, TraceBuilder, VecSource};
-use crate::layout::{GemvLayout, KvLayout, RowAllocator};
+use crate::builder::{BlockPhase, TraceBuilder, VecSource, RESERVED_SLOTS};
+use crate::layout::{GemvLayout, KvLayout, RowAllocator, OUTPUTS_PER_PASS};
 
 /// Maximum tokens scored per attention segment when no registers are
 /// reserved for the value accumulation (32 registers × 16 banks). The
@@ -33,21 +33,36 @@ use crate::layout::{GemvLayout, KvLayout, RowAllocator};
 /// running value-GEMV accumulation across segments.
 pub const SEGMENT_TOKENS_MAX: usize = ACC_REGS_PER_PU * LANES_PER_BEAT;
 
-/// Estimates the Shared Buffer slots one decode step needs on `channels`
-/// channels — the planning-time mirror of `compile_decode_step`'s regions.
-pub fn sb_demand(cfg: &ModelConfig, channels: usize) -> usize {
+/// Shared Buffer regions of one decode step on `channels` channels, in
+/// allocation order after the reserved constant slots: the block input and
+/// output `x`, 4 scratch slots, the GEMV pass ring, the drain region `tmp`,
+/// one segment of scores and of `exp`, the raw head output and its softmax
+/// scalar, the final head, RoPE's deinterleaved head and its two products,
+/// the running softmax denominator and its sum, and the FFN up ring (gated
+/// FFNs only).
+///
+/// Pure arithmetic, so channel planning can ask it cheaply;
+/// [`compile_decode_step`] allocates exactly these regions.
+fn sb_regions(cfg: &ModelConfig, channels: usize) -> [usize; 14] {
     let c = channels.max(1);
-    let groups = |m: usize| m.div_ceil(LANES_PER_BEAT);
-    let pass_slots = |m: usize| groups(m).div_ceil(c).min(ACC_REGS_PER_PU) * c;
-    let out_slots = |m: usize| groups(m).div_ceil(c) * c;
+    let groups = |m: usize| m.div_ceil(LANES_PER_BEAT).div_ceil(c);
+    // Slots one pass of an `m`-row matrix drains.
+    let pass_slots = |m: usize| groups(m).min(ACC_REGS_PER_PU) * c;
     let h = cfg.hidden;
-    let ring = pass_slots(h).max(pass_slots(cfg.kv_dim())).max(pass_slots(cfg.ffn_hidden));
-    let tmp = pass_slots(h).max(pass_slots(h)); // wo and w2 both output `h`
-    let x = out_slots(h).max(h.div_ceil(LANES_PER_BEAT));
-    let up_ring = if cfg.ffn == FfnKind::GatedSilu { pass_slots(cfg.ffn_hidden) } else { 0 };
     let hd_beats = cfg.head_dim() / LANES_PER_BEAT;
-    let misc = 3 + 4 + 2 * ACC_REGS_PER_PU + 4 * hd_beats.max(1) + 8;
-    x + ring + tmp + up_ring + misc
+    // Wo and W2 both output `h` elements.
+    let x = (groups(h) * c).max(h.div_ceil(LANES_PER_BEAT));
+    let ring = pass_slots(h).max(pass_slots(cfg.kv_dim())).max(pass_slots(cfg.ffn_hidden));
+    let up_ring = if cfg.ffn == FfnKind::GatedSilu { ring } else { 0 };
+    let seg = ACC_REGS_PER_PU;
+    let rope = hd_beats.max(1);
+    [x, 4, ring, pass_slots(h), seg, seg, hd_beats, 1, hd_beats, rope, 2 * rope, 1, 1, up_ring]
+}
+
+/// The Shared Buffer slots one decode step needs on `channels` channels:
+/// exactly the high water of [`compile_decode_step`]'s allocations.
+pub fn sb_demand(cfg: &ModelConfig, channels: usize) -> usize {
+    RESERVED_SLOTS + sb_regions(cfg, channels).iter().sum::<usize>()
 }
 
 /// The largest channel count ≤ `desired` whose compiled block fits the
@@ -111,42 +126,35 @@ impl BlockPlacement {
         let h = cfg.hidden;
         let kv_dim = cfg.kv_dim();
         let mut rows = RowAllocator::new();
-        let plan_m = |rows: &mut RowAllocator, m: usize, n: usize, chans: &[ChannelId]| {
-            let probe = GemvLayout::plan(chans.to_vec(), RowAddr(0), m, n)?;
-            let base = rows.alloc(probe.rows_per_bank())?;
-            GemvLayout::plan(chans.to_vec(), base, m, n)
+        let mut plan_m = |m: usize, n: usize| -> CentResult<GemvLayout> {
+            let mut layout = GemvLayout::plan(channels.clone(), RowAddr(0), m, n)?;
+            layout.base_row = rows.alloc(layout.rows_per_bank())?;
+            Ok(layout)
         };
-        let wq = plan_m(&mut rows, h, h, &channels)?;
-        let wk = plan_m(&mut rows, kv_dim, h, &channels)?;
-        let wv = plan_m(&mut rows, kv_dim, h, &channels)?;
-        let wo = plan_m(&mut rows, h, h, &channels)?;
-        let w1 = plan_m(&mut rows, cfg.ffn_hidden, h, &channels)?;
-        let w2 = plan_m(&mut rows, h, cfg.ffn_hidden, &channels)?;
+        let wq = plan_m(h, h)?;
+        let wk = plan_m(kv_dim, h)?;
+        let wv = plan_m(kv_dim, h)?;
+        let wo = plan_m(h, h)?;
+        let w1 = plan_m(cfg.ffn_hidden, h)?;
+        let w2 = plan_m(h, cfg.ffn_hidden)?;
         let w3 = match cfg.ffn {
-            FfnKind::GatedSilu => Some(plan_m(&mut rows, cfg.ffn_hidden, h, &channels)?),
+            FfnKind::GatedSilu => Some(plan_m(cfg.ffn_hidden, h)?),
             FfnKind::Gelu => None,
         };
-        // KV caches: one layout per KV head, round-robin across channels.
-        // Each channel must reserve the same row span, so allocate the
-        // worst-case number of heads per channel.
-        let heads_per_channel = cfg.kv_heads.div_ceil(channels.len());
+        // KV caches: one layout per KV head, round-robin across channels;
+        // the `k`-th head of a channel sits `k` head spans past the base.
+        let span = KvLayout::key_rows(cfg.head_dim(), cfg.max_context)
+            + KvLayout::value_rows(cfg.head_dim(), cfg.max_context);
         let mut kv = Vec::with_capacity(cfg.kv_heads);
         let kv_base = rows.mark_addr();
         let mut kv_end = kv_base;
         for head in 0..cfg.kv_heads {
             let channel = channels[head % channels.len()];
-            let slot_on_channel = head / channels.len();
-            let mut base = kv_base;
-            for _ in 0..slot_on_channel {
-                let (probe, next) = KvLayout::plan(channel, base, cfg.head_dim(), cfg.max_context)?;
-                let _ = probe;
-                base = next;
-            }
+            let base = RowAddr(kv_base.0 + (head / channels.len() * span) as u32);
             let (layout, next) = KvLayout::plan(channel, base, cfg.head_dim(), cfg.max_context)?;
             kv.push(layout);
             kv_end = RowAddr(kv_end.0.max(next.0));
         }
-        let _ = heads_per_channel;
         rows.skip_to(kv_end)?;
         // Rotary tables: ctx positions × 2 layouts × head_dim elements.
         let hd = cfg.head_dim();
@@ -257,33 +265,19 @@ pub fn compile_decode_step(p: &BlockPlacement, position: usize) -> CentResult<Bl
     let x_beats = h.div_ceil(LANES_PER_BEAT);
     let chmask = p.chmask();
     let c = p.channels.len();
-    let ring_slots = [&p.wq, &p.wk, &p.wv, &p.w1]
-        .iter()
-        .map(|l| l.pass_slots())
-        .chain(p.w3.as_ref().map(|l| l.pass_slots()))
-        .max()
-        .expect("layouts exist");
-    let tmp_slots = p.wo.pass_slots().max(p.w2.pass_slots());
 
     let mut b = TraceBuilder::new();
-    // Persistent regions.
-    let x_slot = b.sb.alloc(p.wo.out_slots().max(p.w2.out_slots()).max(x_beats))?;
-    let scratch = b.sb.alloc(4)?; // dot partials, sumsq, scale beat, denom
-    let ring = b.sb.alloc(ring_slots)?;
-    let tmp = b.sb.alloc(tmp_slots)?;
-    // Attention working set: scores/exp for one segment + head output + the
-    // softmax scalar right after the head (VEC_SCALE convention), + RoPE io.
-    let seg_slots = ACC_REGS_PER_PU; // one slot per scoring register
-    let score_slot = b.sb.alloc(seg_slots)?;
-    let exp_slot = b.sb.alloc(seg_slots)?;
-    let head_raw = b.sb.alloc(hd_beats)?;
-    let head_scalar = b.sb.alloc(1)?;
+    let mut slots = [SbSlot(0); 14];
+    for (slot, n) in slots.iter_mut().zip(sb_regions(cfg, c)) {
+        *slot = b.sb.alloc(n)?;
+    }
+    #[rustfmt::skip]
+    let [
+        x_slot, scratch, ring, tmp, score_slot, exp_slot, head_raw, head_scalar, head_final,
+        rope_ab, rope_prod, denom, denom_sum, up_ring,
+    ] = slots;
+    // VEC_SCALE reads the softmax scalar right after the head.
     debug_assert_eq!(head_scalar.index(), head_raw.index() + hd_beats);
-    let head_final = b.sb.alloc(hd_beats)?;
-    let rope_ab = b.sb.alloc(hd_beats.max(1))?;
-    let rope_prod = b.sb.alloc(2 * hd_beats.max(1))?;
-    let denom = b.sb.alloc(1)?;
-    let denom_sum = b.sb.alloc(1)?;
 
     // ---- Phase 1: RMSNorm(x) into the norm scratch banks. -----------------
     b.set_phase(BlockPhase::Norm);
@@ -291,241 +285,124 @@ pub fn compile_decode_step(p: &BlockPlacement, position: usize) -> CentResult<Bl
     let normed = VecSource::ScratchQuartered { row: p.norm_row, per_group: norm_stride };
 
     // ---- Phase 2: K projection, RoPE, cache append. ------------------------
-    let heads_per_pass_k = (512 * c) / hd;
-    let kv_layouts = p.kv.clone();
+    // Each pass of a K, V or Q projection drains whole heads into the ring.
+    let heads_per_pass = (OUTPUTS_PER_PASS * c) / hd;
     let rope_on = cfg.positional == PositionalKind::Rotary;
     let rope_entry = p.rope_entry(position);
-    {
-        let wk = p.wk.clone();
+    for pass in 0..p.wk.passes {
         b.set_phase(BlockPhase::FcQkv);
-        b.gemv_ring(&wk, normed, ring, None, |b, pass| {
-            let first_head = pass * heads_per_pass_k;
-            for i in 0..heads_per_pass_k {
-                let head = first_head + i;
-                if head >= cfg.kv_heads {
-                    break;
-                }
-                let head_slot = SbSlot((ring.index() + i * hd_beats) as u16);
-                if rope_on {
-                    b.set_phase(BlockPhase::Rope);
-                    emit_rope(b, p, rope_entry, head_slot, rope_ab, rope_prod, hd);
-                }
-                // Append to the key cache: one contiguous bank write.
-                b.set_phase(BlockPhase::KvAppend);
-                let kv = &kv_layouts[head];
-                let (bank, row, col) = kv.key_location(position);
-                b.emit(Instruction::WrSbk {
-                    ch: kv.channel,
-                    opsize: hd_beats as u32,
-                    bank,
-                    row,
-                    col,
-                    rs: head_slot,
-                });
-                b.set_phase(BlockPhase::FcQkv);
+        b.gemv_pass(&p.wk, normed, pass, None, ring);
+        for (i, head) in (pass * heads_per_pass..cfg.kv_heads).take(heads_per_pass).enumerate() {
+            let head_slot = SbSlot((ring.index() + i * hd_beats) as u16);
+            if rope_on {
+                b.set_phase(BlockPhase::Rope);
+                emit_rope(&mut b, p, rope_entry, head_slot, rope_ab, rope_prod, hd);
             }
-        });
+            // Append to the key cache: one contiguous bank write.
+            b.set_phase(BlockPhase::KvAppend);
+            let kv = &p.kv[head];
+            let (bank, row, col) = kv.key_location(position);
+            b.emit(Instruction::WrSbk {
+                ch: kv.channel,
+                opsize: hd_beats as u32,
+                bank,
+                row,
+                col,
+                rs: head_slot,
+            });
+        }
     }
 
     // ---- Phase 3: V projection, transposed cache append. -------------------
-    {
-        let wv = p.wv.clone();
+    for pass in 0..p.wv.passes {
         b.set_phase(BlockPhase::FcQkv);
-        b.gemv_ring(&wv, normed, ring, None, |b, pass| {
-            b.set_phase(BlockPhase::KvAppend);
-            let first_head = pass * heads_per_pass_k;
-            for i in 0..heads_per_pass_k {
-                let head = first_head + i;
-                if head >= cfg.kv_heads {
-                    break;
-                }
-                let kv = &kv_layouts[head];
-                for dg in 0..hd_beats {
-                    let (_, row, elem) = kv.value_location(dg * LANES_PER_BEAT, position);
-                    b.emit(Instruction::WrAbk {
-                        ch: kv.channel,
-                        row,
-                        elem: elem as u32,
-                        rs: SbSlot((ring.index() + i * hd_beats + dg) as u16),
-                    });
-                }
+        b.gemv_pass(&p.wv, normed, pass, None, ring);
+        b.set_phase(BlockPhase::KvAppend);
+        for (i, head) in (pass * heads_per_pass..cfg.kv_heads).take(heads_per_pass).enumerate() {
+            let kv = &p.kv[head];
+            for dg in 0..hd_beats {
+                let (_, row, elem) = kv.value_location(dg * LANES_PER_BEAT, position);
+                b.emit(Instruction::WrAbk {
+                    ch: kv.channel,
+                    row,
+                    elem: elem as u32,
+                    rs: SbSlot((ring.index() + i * hd_beats + dg) as u16),
+                });
             }
-            b.set_phase(BlockPhase::FcQkv);
-        });
+        }
     }
 
     // ---- Phase 4: Q projection + attention + output projection. ------------
     let ctx = position + 1;
     let group = cfg.heads / cfg.kv_heads;
-    let heads_per_pass_q = (512 * c) / hd;
-    {
-        let wq = p.wq.clone();
-        let wo = p.wo.clone();
+    for pass in 0..p.wq.passes {
         b.set_phase(BlockPhase::FcQkv);
-        b.gemv_ring(&wq, normed, ring, None, |b, pass| {
-            let first_head = pass * heads_per_pass_q;
-            for i in 0..heads_per_pass_q {
-                let head = first_head + i;
-                if head >= cfg.heads {
-                    break;
-                }
-                let q_slot = SbSlot((ring.index() + i * hd_beats) as u16);
-                if rope_on {
-                    b.set_phase(BlockPhase::Rope);
-                    emit_rope(b, p, rope_entry, q_slot, rope_ab, rope_prod, hd);
-                }
-                b.set_phase(BlockPhase::Attention);
-                let kv = &kv_layouts[head / group];
-                emit_attention_head(
-                    b,
-                    kv,
-                    q_slot,
-                    ctx,
-                    hd_beats,
-                    score_slot,
-                    exp_slot,
-                    head_raw,
-                    head_scalar,
-                    denom,
-                    denom_sum,
-                );
-                // Scale by 1/Σexp into the final head vector.
-                b.emit(Instruction::Riscv {
-                    opsize: hd as u32,
-                    pc: pc::VEC_SCALE,
-                    rd: head_final,
-                    rs: head_raw,
-                });
-                // Fold this head into x via the output projection.
-                b.set_phase(BlockPhase::FcWo);
-                b.gemv_accumulate(&wo, VecSource::Sb(head_final), head * hd, hd, tmp, x_slot);
-                b.set_phase(BlockPhase::FcQkv);
+        b.gemv_pass(&p.wq, normed, pass, None, ring);
+        for (i, head) in (pass * heads_per_pass..cfg.heads).take(heads_per_pass).enumerate() {
+            let q_slot = SbSlot((ring.index() + i * hd_beats) as u16);
+            if rope_on {
+                b.set_phase(BlockPhase::Rope);
+                emit_rope(&mut b, p, rope_entry, q_slot, rope_ab, rope_prod, hd);
             }
-        });
+            b.set_phase(BlockPhase::Attention);
+            emit_attention_head(
+                &mut b,
+                &p.kv[head / group],
+                q_slot,
+                ctx,
+                hd_beats,
+                score_slot,
+                exp_slot,
+                head_raw,
+                head_scalar,
+                denom,
+                denom_sum,
+            );
+            // Scale by 1/Σexp into the final head vector.
+            b.emit(Instruction::Riscv {
+                opsize: hd as u32,
+                pc: riscv_pc::VEC_SCALE,
+                rd: head_final,
+                rs: head_raw,
+            });
+            // Fold this head into x via the output projection.
+            b.set_phase(BlockPhase::FcWo);
+            b.gemv_accumulate(&p.wo, VecSource::Sb(head_final), head * hd, hd, tmp, x_slot);
+        }
     }
 
     // ---- Phase 5: RMSNorm(x1) and the FFN. ---------------------------------
     b.set_phase(BlockPhase::Norm);
     let norm_stride2 = b.rmsnorm_to_scratch(chmask, p.dot_row, p.norm_row, x_slot, h, scratch);
     let normed2 = VecSource::ScratchQuartered { row: p.norm_row, per_group: norm_stride2 };
-    let gate_ring = ring;
-    let up_ring = b.sb.alloc(ring_slots)?;
-    let silu_af = cent_pim_af_silu();
-    let gelu_af = cent_pim_af_gelu();
-    let w1 = p.w1.clone();
-    let w2 = p.w2.clone();
-    let w3 = p.w3.clone();
-    let ffn_row = p.ffn_row;
+    let af = match cfg.ffn {
+        FfnKind::GatedSilu => af_id::SILU,
+        FfnKind::Gelu => af_id::GELU,
+    };
+    // W1 (with its activation in the registers) streams pass by pass; each
+    // output chunk folds into x through W2. A gated FFN first multiplies
+    // the chunk by the matching W3 pass in the scratch banks.
     b.set_phase(BlockPhase::FcFfn);
-    match cfg.ffn {
-        FfnKind::GatedSilu => {
-            let w3 = w3.expect("gated FFN has w3");
-            // Gate and up stream pass-by-pass; each chunk is multiplied in
-            // the scratch banks and folded into x through W2.
-            for pass in 0..w1.passes {
-                emit_one_pass(&mut b, &w1, normed2, pass, Some(silu_af), gate_ring);
-                emit_one_pass(&mut b, &w3, normed2, pass, None, up_ring);
-                let chunk = 512 * c;
-                let chunk_base = pass * chunk;
-                let chunk_len = chunk.min(cfg.ffn_hidden.saturating_sub(chunk_base));
-                if chunk_len == 0 {
-                    break;
-                }
+    let chunk = OUTPUTS_PER_PASS * c;
+    for pass in 0..p.w1.passes {
+        b.gemv_pass(&p.w1, normed2, pass, Some(af), ring);
+        let chunk_base = pass * chunk;
+        let chunk_len = chunk.min(cfg.ffn_hidden - chunk_base);
+        let source = match &p.w3 {
+            Some(w3) => {
+                b.gemv_pass(w3, normed2, pass, None, up_ring);
                 let beats = chunk_len.div_ceil(LANES_PER_BEAT);
-                let per_group = b.ew_mul_scratch(chmask, ffn_row, gate_ring, up_ring, beats);
-                b.gemv_accumulate(
-                    &w2,
-                    VecSource::ScratchQuartered { row: ffn_row, per_group },
-                    chunk_base,
-                    chunk_len,
-                    tmp,
-                    x_slot,
-                );
+                let per_group = b.ew_mul_scratch(chmask, p.ffn_row, ring, up_ring, beats);
+                VecSource::ScratchQuartered { row: p.ffn_row, per_group }
             }
-        }
-        FfnKind::Gelu => {
-            // Plain FFN: W1 with GeLU in the registers, then W2.
-            for pass in 0..w1.passes {
-                emit_one_pass(&mut b, &w1, normed2, pass, Some(gelu_af), gate_ring);
-                let chunk = 512 * c;
-                let chunk_base = pass * chunk;
-                let chunk_len = chunk.min(cfg.ffn_hidden.saturating_sub(chunk_base));
-                if chunk_len == 0 {
-                    break;
-                }
-                b.gemv_accumulate(
-                    &w2,
-                    VecSource::Sb(gate_ring),
-                    chunk_base,
-                    chunk_len,
-                    tmp,
-                    x_slot,
-                );
-            }
-        }
+            None => VecSource::Sb(ring),
+        };
+        b.gemv_accumulate(&p.w2, source, chunk_base, chunk_len, tmp, x_slot);
     }
 
     let sb_high_water = b.sb.high_water();
     let (trace, tags) = b.finish_tagged();
     Ok(BlockStep { trace, tags, x_slot, x_beats, sb_high_water })
-}
-
-/// AF id of SiLU in the PIM lookup tables.
-fn cent_pim_af_silu() -> u8 {
-    4 // matches cent_pim::ActivationFunction::Silu
-}
-
-/// AF id of GeLU in the PIM lookup tables.
-fn cent_pim_af_gelu() -> u8 {
-    3 // matches cent_pim::ActivationFunction::Gelu
-}
-
-/// Emits a single GEMV pass into a ring (helper shared by the FFN phases).
-fn emit_one_pass(
-    b: &mut TraceBuilder,
-    layout: &GemvLayout,
-    source: VecSource,
-    pass: usize,
-    af_id: Option<u8>,
-    ring: SbSlot,
-) {
-    use cent_isa::MacOperand;
-    use cent_types::AccRegId;
-    let chmask = layout.chmask();
-    let pass_slots = ACC_REGS_PER_PU * layout.channels.len();
-    let regs = layout.regs_in_pass(pass);
-    for tile in 0..layout.tiles {
-        let beats = layout.tile_beats(tile);
-        b.load_tile(chmask, source, tile, beats);
-        for reg in 0..regs {
-            if tile == 0 {
-                b.emit(Instruction::WrBias {
-                    chmask,
-                    rs: b.zero_slot,
-                    reg: AccRegId::new(reg as u8),
-                });
-            }
-            b.emit(Instruction::MacAbk {
-                chmask,
-                opsize: beats as u32,
-                row: layout.dram_row(pass, reg, tile),
-                col: ColAddr(0),
-                reg: AccRegId::new(reg as u8),
-                operand: MacOperand::GlobalBuffer { slot: 0 },
-            });
-        }
-    }
-    for reg in 0..regs {
-        if let Some(af) = af_id {
-            b.emit(Instruction::Af { chmask, af_id: af, reg: AccRegId::new(reg as u8) });
-        }
-        let local = layout.out_slot(0, pass, reg) - pass * pass_slots;
-        b.emit(Instruction::RdMac {
-            chmask,
-            rd: SbSlot((ring.index() + local) as u16),
-            reg: AccRegId::new(reg as u8),
-        });
-    }
 }
 
 /// Emits RoPE for one head in place: deinterleave on a RISC-V core, two
@@ -546,7 +423,7 @@ fn emit_rope(
     let (row, col) = entry;
     b.emit(Instruction::Riscv {
         opsize: (hd / 2) as u32,
-        pc: pc::DEINTERLEAVE,
+        pc: riscv_pc::DEINTERLEAVE,
         rd: rope_ab,
         rs: head_slot,
     });
@@ -584,7 +461,7 @@ fn emit_rope(
     });
     b.emit(Instruction::Riscv {
         opsize: (hd / 2) as u32,
-        pc: pc::ROPE_COMBINE,
+        pc: riscv_pc::ROPE_COMBINE,
         rd: head_slot,
         rs: rope_prod,
     });
@@ -658,7 +535,7 @@ fn emit_attention_head(
             let valid = LANES_PER_BEAT - (last_token - ctx);
             b.emit(Instruction::Riscv {
                 opsize: valid as u32,
-                pc: pc::ZERO_TAIL,
+                pc: riscv_pc::ZERO_TAIL,
                 rd: SbSlot((exp_slot.index() + groups - 1) as u16),
                 rs: exp_slot,
             });
@@ -711,5 +588,5 @@ fn emit_attention_head(
             reg: AccRegId::new((v_reg0 + dg) as u8),
         });
     }
-    b.emit(Instruction::Riscv { opsize: 1, pc: pc::RECIP, rd: head_scalar, rs: denom_sum });
+    b.emit(Instruction::Riscv { opsize: 1, pc: riscv_pc::RECIP, rd: head_scalar, rs: denom_sum });
 }

@@ -1,14 +1,14 @@
 //! Instruction-trace builder: compiles LLM operations to CENT instructions.
 //!
-//! [`TraceBuilder::gemv`] is the paper's Figure 11 compilation (vector to
-//! Global Buffer, `WR_BIAS`/`MAC_ABK`/`RD_MAC` per matrix-row group),
-//! generalised to:
+//! [`TraceBuilder::gemv_pass`] is the paper's Figure 11 compilation (vector
+//! to Global Buffer, `WR_BIAS`/`MAC_ABK`/`RD_MAC` per matrix-row group), one
+//! pass of 32 registers at a time, generalised to:
 //!
 //! * multi-channel sharding with element-ordered Shared Buffer output;
 //! * input tiling through the 64-slot Global Buffer;
-//! * *chunked accumulation* for matrices whose output exceeds the
-//!   32 accumulation registers × 16 banks budget: partials drain through
-//!   `RD_MAC` and accumulate in the Shared Buffer via the PNM `ACC` units;
+//! * *chunked accumulation* ([`TraceBuilder::gemv_accumulate`]) for inputs
+//!   produced piecewise: partials drain through `RD_MAC` and accumulate in
+//!   the Shared Buffer via the PNM `ACC` units;
 //! * input sourced either from the Shared Buffer (`WR_GB`) or directly from
 //!   DRAM scratch banks (`COPY_BKGB`), which is how normalised vectors and
 //!   FFN products flow without occupying Shared Buffer space.
@@ -18,9 +18,9 @@ use cent_types::{
     AccRegId, BankId, CentError, CentResult, ChannelId, ChannelMask, ColAddr, RowAddr, SbSlot,
 };
 
-use cent_isa::{Instruction, MacOperand};
+use cent_isa::{riscv_pc, Instruction, MacOperand};
 
-use crate::layout::GemvLayout;
+use crate::layout::{GemvLayout, TILE_ELEMS};
 
 /// Which block phase an instruction belongs to (latency attribution for the
 /// tensor-parallel composition and Figure 14c).
@@ -44,42 +44,11 @@ pub enum BlockPhase {
     Other,
 }
 
-/// Well-known RISC-V routine PCs (mirrors `cent_device::riscv_pc`; duplicated
-/// here so the compiler does not depend on the device crate).
-pub mod pc {
-    /// `1/sqrt(x)`.
-    pub const RSQRT: u32 = 0x100;
-    /// `1/x`.
-    pub const RECIP: u32 = 0x200;
-    /// RMSNorm scale.
-    pub const RMSNORM_SCALE: u32 = 0x300;
-    /// Rotary-embedding combine.
-    pub const ROPE_COMBINE: u32 = 0x400;
-    /// Vector add.
-    pub const VEC_ADD: u32 = 0x500;
-    /// Vector × scalar.
-    pub const VEC_SCALE: u32 = 0x600;
-    /// Even/odd deinterleave (RoPE complex transform).
-    pub const DEINTERLEAVE: u32 = 0x700;
-    /// Scalar minus a count (softmax padding correction).
-    pub const SUB_COUNT: u32 = 0x800;
-    /// Zero the tail lanes of one beat (softmax pad clearing).
-    pub const ZERO_TAIL: u32 = 0x900;
-}
-
 /// Where a GEMV input vector comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VecSource {
     /// Contiguous Shared Buffer slots (loaded to the GB with `WR_GB`).
     Sb(SbSlot),
-    /// DRAM scratch: the vector sits in `bank` of **every** matrix channel
-    /// starting at `(row, col 0)`, beat-contiguous (loaded with `COPY_BKGB`).
-    Scratch {
-        /// Bank holding the vector in each channel.
-        bank: BankId,
-        /// First DRAM row.
-        row: RowAddr,
-    },
     /// DRAM scratch as produced by [`TraceBuilder::ew_mul_scratch`]: the
     /// vector is quartered across bank groups — quarter `g` lives in bank
     /// `4g+2` with `per_group` beats starting at `(row, col 0)`.
@@ -138,6 +107,10 @@ impl SbAllocator {
     }
 }
 
+/// Shared Buffer slots every trace reserves below its allocator: the zero
+/// beat, the ones beat and the RMSNorm scale scalar.
+pub(crate) const RESERVED_SLOTS: usize = 3;
+
 /// Builds a CENT instruction trace.
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
@@ -164,7 +137,7 @@ impl Default for TraceBuilder {
 
 impl TraceBuilder {
     /// Creates a builder. Slots 0 and 1 are reserved for the zero/one
-    /// constant beats.
+    /// constant beats, slot 2 for the RMSNorm scale.
     pub fn new() -> Self {
         TraceBuilder {
             trace: Vec::new(),
@@ -173,11 +146,12 @@ impl TraceBuilder {
             zero_slot: SbSlot(0),
             ones_slot: SbSlot(1),
             scale_slot: SbSlot(2),
-            sb: SbAllocator::new(3),
+            sb: SbAllocator::new(RESERVED_SLOTS),
         }
     }
 
     /// Appends a raw instruction, tagged with the current phase.
+    #[inline]
     pub fn emit(&mut self, inst: Instruction) {
         self.trace.push(inst);
         self.tags.push(self.phase);
@@ -208,45 +182,39 @@ impl TraceBuilder {
         self.trace
     }
 
-    /// Loads one input tile into the Global Buffers of `chmask`.
-    pub(crate) fn load_tile(
+    /// Loads beats `[beat, beat + beats)` of `source` into the Global
+    /// Buffers of `chmask`, from GB slot 0. A quartered source is copied
+    /// one quarter run at a time; `split_rows` also ends each run at a DRAM
+    /// row end. A PIM channel carries a run past a row end into the next
+    /// row, so both forms load the same beats with different instruction
+    /// counts.
+    fn load_gb(
         &mut self,
         chmask: ChannelMask,
         source: VecSource,
-        tile: usize,
+        mut beat: usize,
         beats: usize,
+        split_rows: bool,
     ) {
         match source {
             VecSource::Sb(base) => self.emit(Instruction::WrGb {
                 chmask,
                 opsize: beats as u32,
                 gb_slot: 0,
-                rs: base.offset((tile * GLOBAL_BUFFER_SLOTS) as u16),
+                rs: base.offset(beat as u16),
             }),
-            VecSource::Scratch { bank, row } => {
-                // Tile t occupies beats [t·64, t·64+beats) of the scratch
-                // run; one DRAM row holds exactly one tile.
-                self.emit(Instruction::CopyBkGb {
-                    chmask,
-                    opsize: beats as u32,
-                    bank,
-                    row: RowAddr(row.0 + tile as u32),
-                    col: ColAddr(0),
-                    gb_slot: 0,
-                });
-            }
             VecSource::ScratchQuartered { row, per_group } => {
-                // Quarters live in banks 4g+2; a GB tile may straddle
-                // quarter boundaries, so split the copy per quarter run.
-                let mut beat = tile * GLOBAL_BUFFER_SLOTS;
-                let tile_end = beat + beats;
+                // Quarters live in banks 4g+2, so a load that straddles a
+                // quarter boundary is split per quarter run.
+                let end = beat + beats;
                 let mut gb = 0u8;
-                while beat < tile_end {
+                while beat < end {
                     let quarter = beat / per_group;
                     let qbeat = beat % per_group;
-                    let run = (tile_end - beat)
-                        .min(per_group - qbeat)
-                        .min(COLS_PER_ROW - qbeat % COLS_PER_ROW);
+                    let mut run = (end - beat).min(per_group - qbeat);
+                    if split_rows {
+                        run = run.min(COLS_PER_ROW - qbeat % COLS_PER_ROW);
+                    }
                     self.emit(Instruction::CopyBkGb {
                         chmask,
                         opsize: run as u32,
@@ -262,54 +230,57 @@ impl TraceBuilder {
         }
     }
 
-    /// Figure 11: full GEMV of `layout` with input `source`, writing the
-    /// element-ordered result to `out` (`layout.out_slots()` slots).
+    /// Figure 11, one pass: streams `source` through the Global Buffer
+    /// tile by tile into the registers of pass `pass` of `layout` (zeroed
+    /// on the first tile), applies `af_id` if given, and drains the pass
+    /// outputs in element order into `ring` (`32 · channels` slots: outputs
+    /// `[pass · 512 · C, (pass+1) · 512 · C)`).
     ///
-    /// `af_id` optionally applies an activation function to every
-    /// accumulator before read-out (used for the FFN's SiLU).
-    ///
-    /// Only valid when the matrix fits one pass per physical register set
-    /// (`layout.passes ≤ 1`) — larger matrices must use
-    /// [`Self::gemv_accumulate`]. Multi-pass single-shot is still allowed;
-    /// each pass has exclusive use of the registers because its `RD_MAC`
-    /// completes before the next pass starts.
-    pub fn gemv(&mut self, layout: &GemvLayout, source: VecSource, out: SbSlot, af_id: Option<u8>) {
+    /// Each pass has exclusive use of the registers because its `RD_MAC`
+    /// completes before the next pass starts, so a matrix of any height
+    /// streams through one ring pass by pass.
+    pub fn gemv_pass(
+        &mut self,
+        layout: &GemvLayout,
+        source: VecSource,
+        pass: usize,
+        af_id: Option<u8>,
+        ring: SbSlot,
+    ) {
         let chmask = layout.chmask();
-        let channels = layout.channels.len();
-        for pass in 0..layout.passes {
-            let regs = layout.regs_in_pass(pass);
-            for tile in 0..layout.tiles {
-                let beats = layout.tile_beats(tile);
-                self.load_tile(chmask, source, tile, beats);
-                for reg in 0..regs {
-                    if tile == 0 {
-                        self.emit(Instruction::WrBias {
-                            chmask,
-                            rs: self.zero_slot,
-                            reg: AccRegId::new(reg as u8),
-                        });
-                    }
-                    self.emit(Instruction::MacAbk {
-                        chmask,
-                        opsize: beats as u32,
-                        row: layout.dram_row(pass, reg, tile),
-                        col: ColAddr(0),
-                        reg: AccRegId::new(reg as u8),
-                        operand: MacOperand::GlobalBuffer { slot: 0 },
-                    });
-                }
-            }
+        let regs = layout.regs_in_pass(pass);
+        for tile in 0..layout.tiles {
+            let beats = layout.tile_beats(tile);
+            self.load_gb(chmask, source, tile * GLOBAL_BUFFER_SLOTS, beats, true);
             for reg in 0..regs {
-                if let Some(af) = af_id {
-                    self.emit(Instruction::Af { chmask, af_id: af, reg: AccRegId::new(reg as u8) });
+                let reg_id = AccRegId::new(reg as u8);
+                if tile == 0 {
+                    self.emit(Instruction::WrBias { chmask, rs: self.zero_slot, reg: reg_id });
                 }
-                self.emit(Instruction::RdMac {
+                self.emit(Instruction::MacAbk {
                     chmask,
-                    rd: SbSlot((out.index() + layout.out_slot(0, pass, reg)) as u16),
-                    reg: AccRegId::new(reg as u8),
+                    opsize: beats as u32,
+                    row: layout.dram_row(pass, reg, tile),
+                    col: ColAddr(0),
+                    reg: reg_id,
+                    operand: MacOperand::GlobalBuffer { slot: 0 },
                 });
             }
-            let _ = channels;
+        }
+        self.drain_pass(layout, pass, af_id, ring);
+    }
+
+    /// Reads the registers of pass `pass` out to `dst` in element order,
+    /// applying `af_id` to each first if given.
+    fn drain_pass(&mut self, layout: &GemvLayout, pass: usize, af_id: Option<u8>, dst: SbSlot) {
+        let chmask = layout.chmask();
+        for reg in 0..layout.regs_in_pass(pass) {
+            let reg_id = AccRegId::new(reg as u8);
+            if let Some(af) = af_id {
+                self.emit(Instruction::Af { chmask, af_id: af, reg: reg_id });
+            }
+            let rd = dst.offset((reg * layout.channels.len()) as u16);
+            self.emit(Instruction::RdMac { chmask, rd, reg: reg_id });
         }
     }
 
@@ -318,8 +289,8 @@ impl TraceBuilder {
     ///
     /// Used when the full input vector is produced piecewise (FFN product
     /// chunks, per-head attention outputs). Registers are zeroed at chunk
-    /// start, partials drain via `RD_MAC` into `tmp`
-    /// (`layout.out_slots()` slots), then `ACC` folds them into `out`.
+    /// start, partials drain via `RD_MAC` into `tmp` (one pass of
+    /// `32 · channels` slots), then `ACC` folds them into `out`.
     pub fn gemv_accumulate(
         &mut self,
         layout: &GemvLayout,
@@ -348,10 +319,10 @@ impl TraceBuilder {
             let mut elem = elem_base;
             let chunk_end = elem_base + chunk_len;
             while elem < chunk_end {
-                let tile = elem / crate::layout::TILE_ELEMS;
-                let within = elem % crate::layout::TILE_ELEMS;
+                let tile = elem / TILE_ELEMS;
+                let within = elem % TILE_ELEMS;
                 let mut run_elems = (chunk_end - elem)
-                    .min(crate::layout::TILE_ELEMS - within)
+                    .min(TILE_ELEMS - within)
                     .min(GLOBAL_BUFFER_SLOTS * LANES_PER_BEAT);
                 if let VecSource::ScratchQuartered { per_group, .. } = source {
                     let quarter_elems = per_group * LANES_PER_BEAT;
@@ -359,38 +330,8 @@ impl TraceBuilder {
                     run_elems = run_elems.min(quarter_elems - into_quarter);
                 }
                 let beats = run_elems.div_ceil(LANES_PER_BEAT);
-                // Load the sub-tile into the GB.
                 let chunk_beat = (elem - elem_base) / LANES_PER_BEAT;
-                match source {
-                    VecSource::Sb(base) => self.emit(Instruction::WrGb {
-                        chmask,
-                        opsize: beats as u32,
-                        gb_slot: 0,
-                        rs: base.offset(chunk_beat as u16),
-                    }),
-                    VecSource::Scratch { bank, row } => {
-                        self.emit(Instruction::CopyBkGb {
-                            chmask,
-                            opsize: beats as u32,
-                            bank,
-                            row: RowAddr(row.0 + (chunk_beat / COLS_PER_ROW) as u32),
-                            col: ColAddr((chunk_beat % COLS_PER_ROW) as u32),
-                            gb_slot: 0,
-                        });
-                    }
-                    VecSource::ScratchQuartered { row, per_group } => {
-                        let quarter = chunk_beat / per_group;
-                        let qbeat = chunk_beat % per_group;
-                        self.emit(Instruction::CopyBkGb {
-                            chmask,
-                            opsize: beats as u32,
-                            bank: BankId((4 * quarter + 2) as u16),
-                            row: RowAddr(row.0 + (qbeat / COLS_PER_ROW) as u32),
-                            col: ColAddr((qbeat % COLS_PER_ROW) as u32),
-                            gb_slot: 0,
-                        });
-                    }
-                }
+                self.load_gb(chmask, source, chunk_beat, beats, false);
                 for reg in 0..regs {
                     self.emit(Instruction::MacAbk {
                         chmask,
@@ -404,75 +345,13 @@ impl TraceBuilder {
                 elem += run_elems;
             }
             // Drain into the pass-local tmp region and fold into `out`.
-            for reg in 0..regs {
-                let local = layout.out_slot(0, pass, reg) - pass * pass_slots;
-                self.emit(Instruction::RdMac {
-                    chmask,
-                    rd: SbSlot((tmp.index() + local) as u16),
-                    reg: AccRegId::new(reg as u8),
-                });
-            }
+            self.drain_pass(layout, pass, None, tmp);
             let drained = regs * layout.channels.len();
             self.emit(Instruction::Acc {
                 opsize: drained as u32,
                 rd: SbSlot((out.index() + pass * pass_slots) as u16),
                 rs: tmp,
             });
-        }
-    }
-
-    /// GEMV that drains each pass into a ring region of
-    /// `32 · channels` slots and hands control to `after_pass` before the
-    /// ring is reused — the streaming form used when the full output vector
-    /// would not fit the Shared Buffer (K/V/Q of large models).
-    ///
-    /// `after_pass(builder, pass)` sees the pass outputs in element order at
-    /// `ring` (outputs `[pass · 512 · C, (pass+1) · 512 · C)`).
-    pub fn gemv_ring(
-        &mut self,
-        layout: &GemvLayout,
-        source: VecSource,
-        ring: SbSlot,
-        af_id: Option<u8>,
-        mut after_pass: impl FnMut(&mut Self, usize),
-    ) {
-        let chmask = layout.chmask();
-        let pass_slots = ACC_REGS_PER_PU * layout.channels.len();
-        for pass in 0..layout.passes {
-            let regs = layout.regs_in_pass(pass);
-            for tile in 0..layout.tiles {
-                let beats = layout.tile_beats(tile);
-                self.load_tile(chmask, source, tile, beats);
-                for reg in 0..regs {
-                    if tile == 0 {
-                        self.emit(Instruction::WrBias {
-                            chmask,
-                            rs: self.zero_slot,
-                            reg: AccRegId::new(reg as u8),
-                        });
-                    }
-                    self.emit(Instruction::MacAbk {
-                        chmask,
-                        opsize: beats as u32,
-                        row: layout.dram_row(pass, reg, tile),
-                        col: ColAddr(0),
-                        reg: AccRegId::new(reg as u8),
-                        operand: MacOperand::GlobalBuffer { slot: 0 },
-                    });
-                }
-            }
-            for reg in 0..regs {
-                if let Some(af) = af_id {
-                    self.emit(Instruction::Af { chmask, af_id: af, reg: AccRegId::new(reg as u8) });
-                }
-                let local = layout.out_slot(0, pass, reg) - pass * pass_slots;
-                self.emit(Instruction::RdMac {
-                    chmask,
-                    rd: SbSlot((ring.index() + local) as u16),
-                    reg: AccRegId::new(reg as u8),
-                });
-            }
-            after_pass(self, pass);
         }
     }
 
@@ -634,7 +513,7 @@ impl TraceBuilder {
         //    fixed scale slot (directly after the ones beat).
         self.emit(Instruction::Riscv {
             opsize: n_elems as u32,
-            pc: pc::RMSNORM_SCALE,
+            pc: riscv_pc::RMSNORM_SCALE,
             rd: self.scale_slot,
             rs: sumsq,
         });
@@ -644,7 +523,7 @@ impl TraceBuilder {
         let scale_vec = scratch.offset(2);
         self.emit(Instruction::Riscv {
             opsize: 16,
-            pc: pc::VEC_SCALE,
+            pc: riscv_pc::VEC_SCALE,
             rd: scale_vec,
             rs: self.ones_slot,
         });
@@ -702,7 +581,6 @@ impl TraceBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::GemvLayout;
 
     fn chans(n: u16) -> Vec<ChannelId> {
         (0..n).map(ChannelId).collect()
@@ -729,7 +607,7 @@ mod tests {
         let layout = GemvLayout::plan(chans(1), RowAddr(0), 32, 64).unwrap();
         let mut b = TraceBuilder::new();
         let out = b.sb.alloc(layout.out_slots()).unwrap();
-        b.gemv(&layout, VecSource::Sb(SbSlot(100)), out, None);
+        b.gemv_pass(&layout, VecSource::Sb(SbSlot(100)), 0, None, out);
         let trace = b.finish();
         // WR_GB + one (WR_BIAS + MAC_ABK + RD_MAC) per used register:
         // a 32-row matrix = 2 output groups on one channel = 2 registers.
@@ -748,7 +626,7 @@ mod tests {
         let layout = GemvLayout::plan(chans(2), RowAddr(0), 64, 4096).unwrap();
         let mut b = TraceBuilder::new();
         let out = b.sb.alloc(layout.out_slots()).unwrap();
-        b.gemv(&layout, VecSource::Sb(SbSlot(200)), out, None);
+        b.gemv_pass(&layout, VecSource::Sb(SbSlot(200)), 0, None, out);
         let trace = b.finish();
         let wr_gb = trace.iter().filter(|i| i.mnemonic() == "WR_GB").count();
         assert_eq!(wr_gb, 4);
@@ -762,7 +640,7 @@ mod tests {
         let layout = GemvLayout::plan(chans(1), RowAddr(0), 16, 64).unwrap();
         let mut b = TraceBuilder::new();
         let out = b.sb.alloc(layout.out_slots()).unwrap();
-        b.gemv(&layout, VecSource::Sb(SbSlot(50)), out, Some(4));
+        b.gemv_pass(&layout, VecSource::Sb(SbSlot(50)), 0, Some(cent_isa::af_id::SILU), out);
         let trace = b.finish();
         let af_pos = trace.iter().position(|i| i.mnemonic() == "AF").unwrap();
         let rd_pos = trace.iter().position(|i| i.mnemonic() == "RD_MAC").unwrap();
@@ -856,8 +734,8 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert!(riscv.contains(&pc::RMSNORM_SCALE));
-        assert!(riscv.contains(&pc::VEC_SCALE));
+        assert!(riscv.contains(&riscv_pc::RMSNORM_SCALE));
+        assert!(riscv.contains(&riscv_pc::VEC_SCALE));
         assert_eq!(trace.iter().filter(|i| i.mnemonic() == "EW_MUL").count(), 1);
     }
 }

@@ -155,11 +155,6 @@ impl GemvLayout {
     pub fn out_slots(&self) -> usize {
         self.total_pr() * self.channels.len()
     }
-
-    /// Shared Buffer slots one pass drains (the ring size).
-    pub fn pass_slots(&self) -> usize {
-        self.regs_in_pass(0) * self.channels.len()
-    }
 }
 
 /// Per-channel KV-cache layout for one KV head (§5.4 attention mapping).

@@ -23,7 +23,7 @@ pub use block::{
     compile_decode_step, max_feasible_channels, sb_demand, BlockPlacement, BlockStep,
     SEGMENT_TOKENS_MAX,
 };
-pub use builder::{pc, BlockPhase, SbAllocator, TraceBuilder, VecSource};
+pub use builder::{BlockPhase, SbAllocator, TraceBuilder, VecSource};
 pub use image::{weight_image, BankWrite};
 pub use layout::{GemvLayout, KvLayout, RowAllocator, OUTPUTS_PER_PASS, TILE_ELEMS};
 pub use mapping::{DeviceAssignment, Strategy, SystemMapping};
