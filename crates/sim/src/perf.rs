@@ -17,7 +17,7 @@ use cent_cxl::{CxlFabric, FabricConfig, NodeId};
 use cent_device::LatencyBreakdown;
 use cent_model::ModelConfig;
 use cent_types::consts::host;
-use cent_types::{ByteSize, CentResult, DeviceId, Time};
+use cent_types::{ByteSize, CentError, CentResult, DeviceId, Time};
 
 use crate::block_sim::{simulate_block_avg_on, timing_device, BlockTiming};
 
@@ -176,17 +176,17 @@ pub struct QosPoint {
 
 /// Sweeps the PP↔TP spectrum of §7.1's QoS study.
 ///
-/// # Errors
-///
-/// Propagates evaluation errors; infeasible mappings are skipped.
+/// Returns the points of the strategies that evaluate, and the label and
+/// error of each strategy that does not (an infeasible mapping or block).
 pub fn qos_sweep(
     cfg: &ModelConfig,
     devices: usize,
     context: usize,
     prefill: usize,
     decode: usize,
-) -> CentResult<Vec<QosPoint>> {
+) -> (Vec<QosPoint>, Vec<(String, CentError)>) {
     let mut points = Vec::new();
+    let mut skipped = Vec::new();
     let mut strategies: Vec<(String, Strategy)> =
         vec![(format!("PP={}", cfg.layers), Strategy::PipelineParallel)];
     for tp in [2usize, 4, 8, 16] {
@@ -205,10 +205,10 @@ pub fn qos_sweep(
                     queries_per_min: perf.queries_per_minute(prefill, decode),
                 });
             }
-            Err(_) => continue,
+            Err(e) => skipped.push((label, e)),
         }
     }
-    Ok(points)
+    (points, skipped)
 }
 
 /// One point of the Figure 19 scalability study.
@@ -298,7 +298,8 @@ mod tests {
 
     #[test]
     fn qos_sweep_has_pp_and_tp_endpoints() {
-        let points = qos_sweep(&tiny(), 2, 32, 4, 12).unwrap();
+        let (points, skipped) = qos_sweep(&tiny(), 2, 32, 4, 12);
+        assert!(skipped.is_empty(), "{skipped:?}");
         assert!(points.len() >= 2);
         assert!(points.iter().any(|p| p.label.starts_with("PP")));
         assert!(points.iter().any(|p| p.label.starts_with("TP")));

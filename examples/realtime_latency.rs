@@ -17,8 +17,12 @@ fn main() -> Result<(), cent_types::CentError> {
 
     println!("\nQoS spectrum (512-in / 3584-out queries):");
     println!("{:>16} {:>18} {:>16}", "mapping", "query latency (min)", "queries/min");
-    for p in qos_sweep(&cfg, devices, 4096, 512, 3584)? {
+    let (points, skipped) = qos_sweep(&cfg, devices, 4096, 512, 3584);
+    for p in points {
         println!("{:>16} {:>18.2} {:>16.2}", p.label, p.query_latency_min, p.queries_per_min);
+    }
+    for (label, e) in skipped {
+        println!("{label:>16} does not evaluate: {e}");
     }
     Ok(())
 }
