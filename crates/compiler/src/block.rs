@@ -110,6 +110,8 @@ pub struct BlockPlacement {
     pub norm_row: RowAddr,
     /// Scratch rows for the FFN gate⊙up product chunks.
     pub ffn_row: RowAddr,
+    /// First row past every region of the block.
+    pub end_row: RowAddr,
 }
 
 impl BlockPlacement {
@@ -120,12 +122,28 @@ impl BlockPlacement {
     /// Fails if the weights, KV caches and scratch regions exceed the
     /// per-bank row budget, or the channel set is empty.
     pub fn plan(cfg: &ModelConfig, channels: Vec<ChannelId>) -> CentResult<Self> {
+        Self::plan_from(cfg, channels, RowAddr(0))
+    }
+
+    /// Plans a block over `channels` from row `first_row` of every bank on,
+    /// so that blocks which take turns on the same channels keep their
+    /// regions apart.
+    ///
+    /// # Errors
+    ///
+    /// As [`BlockPlacement::plan`].
+    pub fn plan_from(
+        cfg: &ModelConfig,
+        channels: Vec<ChannelId>,
+        first_row: RowAddr,
+    ) -> CentResult<Self> {
         if channels.is_empty() {
             return Err(CentError::mapping("block placement needs channels"));
         }
         let h = cfg.hidden;
         let kv_dim = cfg.kv_dim();
         let mut rows = RowAllocator::new();
+        rows.skip_to(first_row)?;
         let mut plan_m = |m: usize, n: usize| -> CentResult<GemvLayout> {
             let mut layout = GemvLayout::plan(channels.clone(), RowAddr(0), m, n)?;
             layout.base_row = rows.alloc(layout.rows_per_bank())?;
@@ -186,6 +204,7 @@ impl BlockPlacement {
             dot_row,
             norm_row,
             ffn_row,
+            end_row: rows.mark_addr(),
         })
     }
 

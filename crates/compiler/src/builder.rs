@@ -456,33 +456,6 @@ impl TraceBuilder {
         per_group
     }
 
-    /// Reads a vector previously produced by [`Self::ew_mul_scratch`] back
-    /// into the Shared Buffer from one channel.
-    pub fn read_ew_product(
-        &mut self,
-        channel: ChannelId,
-        scratch_row: RowAddr,
-        beats: usize,
-        per_group: usize,
-        out: SbSlot,
-    ) {
-        for g in 0..4u16 {
-            let base = g as usize * per_group;
-            if base >= beats {
-                break;
-            }
-            let n = per_group.min(beats - base);
-            self.emit(Instruction::RdSbk {
-                ch: channel,
-                opsize: n as u32,
-                bank: BankId(4 * g + 2),
-                row: scratch_row,
-                col: ColAddr(0),
-                rd: out.offset(base as u16),
-            });
-        }
-    }
-
     /// RMSNorm without the gain (which is folded into the following weight
     /// matrices at load time): computes `x · scale` where
     /// `scale = 1/sqrt(mean(x²)+eps)`, leaving the normalised vector in the

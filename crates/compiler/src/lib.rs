@@ -26,4 +26,4 @@ pub use block::{
 pub use builder::{BlockPhase, SbAllocator, TraceBuilder, VecSource};
 pub use image::{weight_image, BankWrite};
 pub use layout::{GemvLayout, KvLayout, RowAllocator, OUTPUTS_PER_PASS, TILE_ELEMS};
-pub use mapping::{DeviceAssignment, Strategy, SystemMapping};
+pub use mapping::{Strategy, SystemMapping};

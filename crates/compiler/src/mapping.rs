@@ -1,4 +1,12 @@
 //! System-level model mapping: PP, TP, hybrid TP-PP and DP (§5.1-5.3).
+//!
+//! Two planners cover the four strategies. The partitioned planner (PP,
+//! DP) gives each block its own slice of one device's channels, so the
+//! blocks on a device run at once as separate pipeline stages. The
+//! tensor-parallel planner (TP, Hybrid) shards each block over all
+//! channels of a group of devices, so the blocks of a group take turns as
+//! one stage. [`SystemMapping::blocks_per_stage`] is the one fact that
+//! tells the two layouts apart.
 
 use cent_types::consts::{CHANNELS_PER_DEVICE, CHANNEL_CAPACITY};
 use cent_types::{ByteSize, CentError, CentResult, DeviceId};
@@ -13,10 +21,13 @@ pub enum Strategy {
     /// (§5.1).
     PipelineParallel,
     /// Tensor parallel: every block is sharded across all devices; the
-    /// attention layer stays on the master device (§5.2). Batch 1.
+    /// attention layer stays on the master device (§5.2). Batch 1. This is
+    /// [`Strategy::Hybrid`] with a single group.
     TensorParallel,
-    /// Hybrid: groups of `tp` consecutive devices shard each block; the
-    /// pipeline runs across groups (§5.3).
+    /// Hybrid: the devices form groups of `tp`, and each group is one
+    /// pipeline stage. A stage's blocks are sharded over all `tp × 32`
+    /// channels of its group and run one at a time; the pipeline runs
+    /// across groups, one query per group used (§5.3).
     Hybrid {
         /// Devices per tensor-parallel group.
         tp: usize,
@@ -29,17 +40,6 @@ pub enum Strategy {
     },
 }
 
-/// Assignment of blocks to one device.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeviceAssignment {
-    /// The device.
-    pub device: DeviceId,
-    /// Block indices hosted (pipeline stages for PP).
-    pub blocks: Vec<usize>,
-    /// Channels given to each hosted block.
-    pub channels_per_block: usize,
-}
-
 /// A planned mapping of a model onto a CENT system.
 #[derive(Debug, Clone)]
 pub struct SystemMapping {
@@ -49,19 +49,23 @@ pub struct SystemMapping {
     pub strategy: Strategy,
     /// Devices available.
     pub devices: usize,
-    /// Devices actually used.
+    /// Devices one replica uses.
     pub used_devices: usize,
-    /// Per-device block assignments (PP and hybrid; empty for pure TP).
-    pub assignments: Vec<DeviceAssignment>,
-    /// Blocks hosted per used device.
+    /// Blocks hosted per used device: its pipeline stages under PP and DP,
+    /// its shard of its group's stage under TP and Hybrid.
     pub blocks_per_device: usize,
-    /// Channels per block (within one device or one TP shard).
+    /// Blocks of one pipeline stage: 1 when every block owns its channels
+    /// (PP, DP); the whole group's blocks when they time-share all of the
+    /// group's channels (TP, Hybrid).
+    pub blocks_per_stage: usize,
+    /// Channels a block owns on each device it spans: a slice of the 32
+    /// under PP and DP, all 32 under TP and Hybrid.
     pub channels_per_block: usize,
-    /// Concurrent queries in flight (PP: one per stage; TP: 1).
+    /// Concurrent queries in flight per replica: one per pipeline stage.
     pub batch: usize,
     /// Data-parallel replica count.
     pub replicas: usize,
-    /// Tensor-parallel shard count per block.
+    /// Devices each block is sharded over (1 under PP and DP).
     pub tp_degree: usize,
 }
 
@@ -77,99 +81,95 @@ impl SystemMapping {
         if devices == 0 {
             return Err(CentError::mapping("no devices"));
         }
-        match strategy {
-            Strategy::PipelineParallel => Self::plan_pp(cfg, devices, 1),
+        let mut plan = match strategy {
+            Strategy::PipelineParallel => Self::partitioned(cfg, devices)?,
             Strategy::DataParallel { replicas } => {
                 if replicas == 0 || !devices.is_multiple_of(replicas) {
                     return Err(CentError::mapping(format!(
                         "{devices} devices cannot host {replicas} equal replicas"
                     )));
                 }
-                let mut plan = Self::plan_pp(cfg, devices / replicas, replicas)?;
-                plan.strategy = strategy;
-                Ok(plan)
+                let mut plan = Self::partitioned(cfg, devices / replicas)?;
+                plan.replicas = replicas;
+                plan
             }
-            Strategy::TensorParallel => {
-                let channels_per_block = CHANNELS_PER_DEVICE;
-                let plan = Self {
-                    cfg: cfg.clone(),
-                    strategy,
-                    devices,
-                    used_devices: devices,
-                    assignments: Vec::new(),
-                    blocks_per_device: cfg.layers,
-                    channels_per_block,
-                    batch: 1,
-                    replicas: 1,
-                    tp_degree: devices,
-                };
-                plan.check_memory(cfg.layers, devices * CHANNELS_PER_DEVICE, 1)?;
-                Ok(plan)
-            }
+            Strategy::TensorParallel => Self::tensor_parallel(cfg, devices, devices)?,
             Strategy::Hybrid { tp } => {
                 if tp == 0 || !devices.is_multiple_of(tp) {
                     return Err(CentError::mapping(format!(
                         "{devices} devices cannot form groups of {tp}"
                     )));
                 }
-                let groups = devices / tp;
-                let mut plan = Self::plan_pp_groups(cfg, groups, tp)?;
-                plan.strategy = strategy;
-                plan.devices = devices;
-                plan.tp_degree = tp;
-                Ok(plan)
+                Self::tensor_parallel(cfg, devices, tp)?
             }
-        }
-    }
-
-    fn plan_pp(cfg: &ModelConfig, devices: usize, replicas: usize) -> CentResult<Self> {
-        let mut plan = Self::plan_pp_groups(cfg, devices, 1)?;
-        plan.replicas = replicas;
-        plan.devices = devices * replicas;
+        };
+        plan.strategy = strategy;
+        plan.devices = devices;
         Ok(plan)
     }
 
-    /// PP planning over `groups` pipeline units, each `tp` devices wide.
-    fn plan_pp_groups(cfg: &ModelConfig, groups: usize, tp: usize) -> CentResult<Self> {
+    /// One pipeline over `devices` devices, each block a stage on its own
+    /// slice of one device's channels.
+    fn partitioned(cfg: &ModelConfig, devices: usize) -> CentResult<Self> {
         let layers = cfg.layers;
-        // Per the paper (§7.4): never split a block across pipeline units;
-        // if blocks don't divide evenly, keep the same blocks-per-unit and
+        // Per the paper (§7.4): never split a block across devices; if
+        // blocks don't divide evenly, keep the same blocks per device and
         // leave the remainder idle.
-        let bpd = layers.div_ceil(groups);
-        let used_groups = layers.div_ceil(bpd);
+        let bpd = layers.div_ceil(devices);
         let channels_per_block = CHANNELS_PER_DEVICE / bpd;
         if channels_per_block == 0 {
             return Err(CentError::mapping(format!(
                 "{bpd} blocks per device exceed the 32 channels"
             )));
         }
-        let batch = layers; // batch size = pipeline stages (§7.1)
-        let mut plan = Self {
+        let plan = Self {
             cfg: cfg.clone(),
             strategy: Strategy::PipelineParallel,
-            devices: groups * tp,
-            used_devices: used_groups * tp,
-            assignments: Vec::new(),
+            devices,
+            used_devices: layers.div_ceil(bpd),
             blocks_per_device: bpd,
+            blocks_per_stage: 1,
             channels_per_block,
-            batch,
+            batch: layers, // batch size = pipeline stages (§7.1)
+            replicas: 1,
+            tp_degree: 1,
+        };
+        plan.check_memory(bpd, channels_per_block * bpd, layers)?;
+        Ok(plan)
+    }
+
+    /// A pipeline across groups of `tp` devices. Each group is one stage:
+    /// its blocks are sharded over all of the group's channels and run one
+    /// at a time.
+    fn tensor_parallel(cfg: &ModelConfig, devices: usize, tp: usize) -> CentResult<Self> {
+        // As under PP, a block never splits across stages, so trailing
+        // groups may stay idle.
+        let per_stage = cfg.layers.div_ceil(devices / tp);
+        let stages = cfg.layers.div_ceil(per_stage);
+        let plan = Self {
+            cfg: cfg.clone(),
+            strategy: Strategy::TensorParallel,
+            devices,
+            used_devices: stages * tp,
+            blocks_per_device: per_stage,
+            blocks_per_stage: per_stage,
+            channels_per_block: CHANNELS_PER_DEVICE,
+            batch: stages,
             replicas: 1,
             tp_degree: tp,
         };
-        plan.check_memory(bpd, channels_per_block * bpd * tp, batch)?;
-        let mut next_block = 0;
-        for g in 0..used_groups {
-            let blocks: Vec<usize> = (next_block..(next_block + bpd).min(layers)).collect();
-            next_block += bpd;
-            for d in 0..tp {
-                plan.assignments.push(DeviceAssignment {
-                    device: DeviceId((g * tp + d) as u16),
-                    blocks: blocks.clone(),
-                    channels_per_block,
-                });
-            }
-        }
+        plan.check_memory(per_stage, tp * CHANNELS_PER_DEVICE, stages)?;
         Ok(plan)
+    }
+
+    /// The device that hosts `block` (the first of its group under TP and
+    /// Hybrid) and the first of the channels the block owns there.
+    pub fn block_home(&self, block: usize) -> (DeviceId, usize) {
+        let device = block / self.blocks_per_device * self.tp_degree;
+        // The stages on one device own disjoint channel slices; the blocks
+        // of one stage share theirs.
+        let slot = block % self.blocks_per_device / self.blocks_per_stage;
+        (DeviceId(device as u16), slot * self.channels_per_block)
     }
 
     /// Validates that `blocks` blocks of weights plus the KV caches of
@@ -202,12 +202,10 @@ impl SystemMapping {
         let h = self.cfg.hidden as u64;
         let kv = self.cfg.kv_dim() as u64;
         let f = self.cfg.ffn_hidden as u64;
-        let d = self.tp_degree.max(1) as u64;
         // Broadcasts: one embedding before QKV, one before FFN, one before Wo.
         let bcast = 3 * h * 2;
         // Gathers: each device returns its output-row shard of every FC.
         let gather = (h + 2 * kv + h + 2 * f + h) * 2;
-        let _ = d;
         ByteSize::bytes(bcast + gather)
     }
 }
@@ -225,6 +223,14 @@ mod tests {
         assert_eq!(plan.used_devices, 27);
         assert_eq!(plan.channels_per_block, 10);
         assert_eq!(plan.batch, 80);
+        // Each block is a stage on its own 10 channels.
+        assert_eq!(plan.blocks_per_stage, 1);
+        let homes: Vec<_> = (0..4).map(|b| plan.block_home(b)).collect();
+        assert_eq!(
+            homes,
+            [(DeviceId(0), 0), (DeviceId(0), 10), (DeviceId(0), 20), (DeviceId(1), 0)]
+        );
+        assert_eq!(plan.block_home(79), (DeviceId(26), 10));
     }
 
     #[test]
@@ -253,17 +259,27 @@ mod tests {
             SystemMapping::plan(&ModelConfig::llama2_70b(), 32, Strategy::TensorParallel).unwrap();
         assert_eq!(plan.batch, 1);
         assert_eq!(plan.tp_degree, 32);
-        assert!(plan.assignments.is_empty());
+        assert_eq!(plan.blocks_per_stage, 80);
+        assert_eq!(plan.channels_per_block, 32);
+        // Every block is homed on the master device's channels.
+        assert!((0..80).all(|b| plan.block_home(b) == (DeviceId(0), 0)));
     }
 
     #[test]
     fn hybrid_splits_into_groups() {
         let plan = SystemMapping::plan(&ModelConfig::llama2_70b(), 32, Strategy::Hybrid { tp: 8 })
             .unwrap();
-        // 4 pipeline groups of 8 devices.
+        // 4 pipeline stages of 8 devices; each stage's 20 blocks take
+        // turns on all 32 channels of every device in the group.
         assert_eq!(plan.tp_degree, 8);
+        assert_eq!(plan.batch, 4);
+        assert_eq!(plan.used_devices, 32);
+        assert_eq!(plan.blocks_per_stage, 20);
         assert_eq!(plan.blocks_per_device, 20);
-        assert_eq!(plan.assignments.len(), 32);
+        assert_eq!(plan.channels_per_block, 32);
+        assert_eq!(plan.block_home(19), (DeviceId(0), 0));
+        assert_eq!(plan.block_home(20), (DeviceId(8), 0));
+        assert_eq!(plan.block_home(79), (DeviceId(24), 0));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use cent_compiler::{compile_decode_step, weight_image, BlockPlacement, Strategy,
 use cent_cxl::{CommunicationEngine, FabricConfig};
 use cent_device::{CxlDevice, DeviceConfig, LatencyBreakdown};
 use cent_model::{BlockWeights, ModelConfig};
-use cent_types::{Bf16, CentError, CentResult, ChannelId, DeviceId, SbSlot, Time};
+use cent_types::{Bf16, CentError, CentResult, ChannelId, DeviceId, RowAddr, SbSlot, Time};
 
 /// A fully built CENT system: devices on a CXL fabric with a model mapped
 /// and (optionally) loaded.
@@ -76,32 +76,23 @@ impl CentSystem {
         functional: bool,
     ) -> CentResult<Self> {
         let mapping = SystemMapping::plan(cfg, devices, strategy)?;
+        let usable = cent_compiler::max_feasible_channels(cfg, mapping.channels_per_block);
         let mut dev_map = BTreeMap::new();
         let mut placements = Vec::with_capacity(cfg.layers);
-        // Build per-block placements from the mapping's device assignments.
-        let mut block_home: Vec<Option<(DeviceId, usize)>> = vec![None; cfg.layers];
-        for a in &mapping.assignments {
-            for (i, &b) in a.blocks.iter().enumerate() {
-                if block_home[b].is_none() {
-                    block_home[b] = Some((a.device, i));
-                }
-            }
-        }
-        // Pure TP: every block on device 0's channels (shard 0 is what we
-        // simulate functionally; timing composition handles the rest).
-        if mapping.assignments.is_empty() {
-            for home in block_home.iter_mut() {
-                *home = Some((DeviceId(0), 0));
-            }
-        }
-        let usable = cent_compiler::max_feasible_channels(cfg, mapping.channels_per_block);
-        for (b, home) in block_home.iter().enumerate() {
-            let (device, slot) =
-                home.ok_or_else(|| CentError::mapping(format!("block {b} unassigned")))?;
-            let base = slot * mapping.channels_per_block;
-            let channels: Vec<ChannelId> =
-                (base..base + usable).map(|c| ChannelId(c as u16)).collect();
-            let placement = BlockPlacement::plan(cfg, channels)?;
+        // A block sharded over a TP group runs functionally, whole, on the
+        // group's first device; `evaluate` prices the sharding. Blocks that
+        // share a home take turns on its channels, so their rows stack.
+        let mut last: Option<((DeviceId, usize), RowAddr)> = None;
+        for b in 0..cfg.layers {
+            let home = mapping.block_home(b);
+            let first_row = match last {
+                Some((prev, end)) if prev == home => end,
+                _ => RowAddr(0),
+            };
+            let (device, first) = home;
+            let channels = (first..first + usable).map(|c| ChannelId(c as u16)).collect();
+            let placement = BlockPlacement::plan_from(cfg, channels, first_row)?;
+            last = Some((home, placement.end_row));
             placements.push((device, placement));
             dev_map.entry(device).or_insert_with(|| {
                 CxlDevice::new(
@@ -153,11 +144,6 @@ impl CentSystem {
             .get(block)
             .map(|(_, p)| p)
             .ok_or_else(|| CentError::mapping(format!("block {block} out of range")))
-    }
-
-    /// Device hosting `block`.
-    pub fn block_device(&self, block: usize) -> DeviceId {
-        self.placements[block].0
     }
 
     /// Direct device access (inspection, custom traces).

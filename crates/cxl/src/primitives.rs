@@ -74,11 +74,6 @@ impl CommunicationEngine {
         &self.fabric
     }
 
-    /// Mutable access to the underlying fabric.
-    pub fn fabric_mut(&mut self) -> &mut CxlFabric {
-        &mut self.fabric
-    }
-
     /// `SEND_CXL DVid Rs Rd`: non-blocking send of `beats` to `dst`.
     ///
     /// # Errors

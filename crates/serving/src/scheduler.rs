@@ -35,7 +35,7 @@
 //! ([`KvSpillMode`](crate::KvSpillMode)); the scheduler only selects and
 //! releases.
 
-use cent_compiler::{Strategy, SystemMapping};
+use cent_compiler::SystemMapping;
 use cent_model::ModelConfig;
 use cent_types::consts::CHANNEL_CAPACITY;
 use cent_types::Time;
@@ -45,29 +45,26 @@ use crate::queue::{QueuedRequest, RequestId, RequestQueue, RequestSpec};
 
 /// KV-cache capacity of one pipeline replica, in context tokens.
 ///
-/// Derived from the mapping: each transformer block lives in
-/// `channels_per_block × tp_degree` GDDR6 channels that must hold the block
+/// Derived from the mapping: the blocks of one pipeline stage live in
+/// `channels_per_block × tp_degree` GDDR6 channels (one block under PP,
+/// the whole group's blocks under TP and Hybrid) that must hold their
 /// weights; the remainder holds KV cache. All resident queries share that
-/// per-block pool, so the binding constraint is the sum of their contexts.
+/// per-stage pool, so the binding constraint is the sum of their contexts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvBudget {
-    /// Total context tokens the per-block KV pool can hold.
+    /// Total context tokens the per-stage KV pool can hold.
     pub tokens: u64,
 }
 
 impl KvBudget {
     /// Computes the per-replica budget for `mapping`.
     pub fn from_mapping(cfg: &ModelConfig, mapping: &SystemMapping) -> Self {
-        let channels = (mapping.channels_per_block * mapping.tp_degree.max(1)) as u64;
+        let channels = (mapping.channels_per_block * mapping.tp_degree) as u64;
         let capacity = CHANNEL_CAPACITY.as_bytes() * channels;
-        // Under PP/hybrid each block owns its channel group; under pure TP
-        // the whole device group holds every layer's weights and KV, so the
-        // group is shared by all of them.
-        let blocks_in_group =
-            if mapping.strategy == Strategy::TensorParallel { cfg.layers as u64 } else { 1 };
-        let weights = cfg.block_weight_bytes().as_bytes() * blocks_in_group;
+        let blocks = mapping.blocks_per_stage as u64;
+        let weights = cfg.block_weight_bytes().as_bytes() * blocks;
         let kv_space = capacity.saturating_sub(weights);
-        let per_token = (cfg.kv_bytes_per_token_per_block().as_bytes() * blocks_in_group).max(1);
+        let per_token = (cfg.kv_bytes_per_token_per_block().as_bytes() * blocks).max(1);
         KvBudget { tokens: kv_space / per_token }
     }
 

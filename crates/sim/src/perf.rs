@@ -1,22 +1,30 @@
 //! System-level performance composition: pipelines, tensor shards, QoS.
 //!
 //! One simulated block step (see [`crate::block_sim`]) is composed across
-//! stages, devices and queries following §5 of the paper:
+//! stages, devices and queries following §5 of the paper. A pipeline
+//! stage is one block under PP and DP, and one group of `tp` devices under
+//! TP and Hybrid (TP within a group, PP across groups, §5.3; pure TP is a
+//! single group). [`SystemMapping::blocks_per_stage`] says which, and
+//! every strategy is priced by the same rules:
 //!
-//! * **PP**: stage interval = block step time (+ the stage-to-stage 16 KB
-//!   embedding hop); system emits one query-token per interval; batch =
-//!   stage count; per-query token latency = stages × interval.
-//! * **TP**: the FC phases shrink by the shard count; attention/norm/RoPE
-//!   stay on the master device; every block pays broadcast + gather on the
-//!   CXL fabric.
-//! * **Hybrid**: TP within a group, PP across groups.
-//! * **DP**: replicas multiply throughput.
+//! * a block sharded over `tp > 1` devices runs its FC phases on all
+//!   `tp × 32` channels it owns, while attention, norms and RoPE stay on
+//!   the master device; it pays the embedding broadcast and the FC
+//!   gather on the CXL fabric;
+//! * blocks on one device that belong to different stages run at once on
+//!   disjoint channels and share only the device's PNM front-end; the
+//!   blocks of one stage run one at a time;
+//! * a token traverses every block once, paying the 16 KB stage-to-stage
+//!   embedding hop per block; one query-token leaves the pipeline per
+//!   stage interval (`blocks_per_stage` block steps), and the batch is the
+//!   stage count;
+//! * DP replicas multiply throughput.
 
 use cent_compiler::{Strategy, SystemMapping};
 use cent_cxl::{CxlFabric, FabricConfig, NodeId};
 use cent_device::LatencyBreakdown;
 use cent_model::ModelConfig;
-use cent_types::consts::host;
+use cent_types::consts::{host, CHANNELS_PER_DEVICE};
 use cent_types::{ByteSize, CentError, CentResult, DeviceId, Time};
 
 use crate::block_sim::{simulate_block_avg_on, timing_device, BlockTiming};
@@ -78,15 +86,15 @@ pub fn evaluate(
     let mut fabric = CxlFabric::new(FabricConfig::cent(devices.max(2)));
     let emb = mapping.embedding_bytes();
 
-    // Stage-to-stage embedding hop (PP) measured on the fabric model.
+    // Stage-to-stage embedding hop measured on the fabric model.
     let hop = fabric
         .write(NodeId::Device(DeviceId(0)), NodeId::Device(DeviceId(1)), emb, Time::ZERO)?
         .delivered_at;
 
-    let tp = mapping.tp_degree.max(1);
-    let (stage_time, cxl_per_block) = if tp > 1 {
-        // TP: FC sharded across the group; master phases unscaled; every
-        // block broadcasts the embedding and gathers FC partials.
+    // A block sharded over `tp` devices broadcasts the embedding to its
+    // shards and gathers their FC partials.
+    let tp = mapping.tp_degree;
+    let cxl_per_block = if tp > 1 {
         let targets: Vec<DeviceId> = (1..tp as u16).map(DeviceId).collect();
         let bcast =
             fabric.broadcast(NodeId::Device(DeviceId(0)), &targets, emb, Time::ZERO)?.completed_at;
@@ -94,35 +102,28 @@ pub fn evaluate(
         let gather = fabric
             .gather(NodeId::Device(DeviceId(0)), &targets, gather_bytes, Time::ZERO)?
             .delivered_at;
-        let comm = bcast + gather;
-        // FC work spreads over tp × 32 channels; the simulation used
-        // `sim_channels`, so rescale accordingly.
-        let shard_channels = tp * cent_types::consts::CHANNELS_PER_DEVICE;
-        let fc =
-            Time::from_ps(block.fc_time().as_ps() * sim_channels as u64 / shard_channels as u64);
-        (fc + block.master_time() + comm, comm)
+        bcast + gather
     } else {
-        (block.total, Time::ZERO)
+        Time::ZERO
     };
+    let step = |b: &BlockTiming| block_step(b, sim_channels, tp, cxl_per_block);
 
-    // Pipeline composition. Under PP, `blocks_per_device` stages run
-    // concurrently on one device and share its decoder/PNM front-end; PIM
-    // channels are disjoint, so only the PNM/dispatch share serialises.
-    // Under TP the blocks execute one at a time, so no sharing applies.
+    // The stages hosted on one device run at once on disjoint channels and
+    // share only its decoder/PNM front-end, so the PNM share of a block
+    // serialises across them.
     let pnm_share = if block.total > Time::ZERO {
         block.breakdown.pnm.as_ps() as f64 / block.total.as_ps() as f64
     } else {
         0.0
     };
-    let concurrent_blocks = if tp > 1 { 1 } else { mapping.blocks_per_device };
-    let sharing = 1.0 + pnm_share * (concurrent_blocks.saturating_sub(1)) as f64;
-    let stage_interval = Time::from_ps((stage_time.as_ps() as f64 * sharing) as u64) + hop;
+    let stages_per_device = mapping.blocks_per_device / mapping.blocks_per_stage;
+    let sharing = 1.0 + pnm_share * (stages_per_device - 1) as f64;
+    let block_interval = Time::from_ps((step(&block).as_ps() as f64 * sharing) as u64) + hop;
+    let stage_interval = Time::from_ps(block_interval.as_ps() * mapping.blocks_per_stage as u64);
 
-    let stages = if mapping.batch > 1 { cfg.layers } else { 1 };
-    // A token traverses every block once (PP: one stage each; TP: all
-    // devices advance one block at a time); the host samples at the end.
+    // A token traverses every block once; the host samples at the end.
     let token_latency =
-        Time::from_ps(stage_interval.as_ps() * cfg.layers as u64) + host::TOP_K_SAMPLING;
+        Time::from_ps(block_interval.as_ps() * cfg.layers as u64) + host::TOP_K_SAMPLING;
     let replicas = mapping.replicas.max(1) as f64;
     let decode_tokens_per_s = if mapping.batch > 1 {
         // One query-token exits the pipeline per stage interval.
@@ -133,23 +134,13 @@ pub fn evaluate(
     // Prefill runs prompt tokens through the same path (§5.5); its
     // throughput matches decode token rate at small contexts.
     let prefill_block = simulate_block_avg_on(&mut dev, cfg, sim_channels, context.min(512))?;
-    let prefill_interval = if tp > 1 {
-        let shard_channels = tp * cent_types::consts::CHANNELS_PER_DEVICE;
-        Time::from_ps(prefill_block.fc_time().as_ps() * sim_channels as u64 / shard_channels as u64)
-            + prefill_block.master_time()
-            + cxl_per_block
-    } else {
-        prefill_block.total
-    };
-    let prefill_tokens_per_s = if mapping.batch > 1 {
-        replicas / (prefill_interval.as_secs() * sharing)
-    } else {
-        replicas / (prefill_interval.as_secs() * cfg.layers as f64)
-    };
+    let prefill_tokens_per_s =
+        replicas / (step(&prefill_block).as_secs() * sharing * mapping.blocks_per_stage as f64);
 
+    let stages = cfg.layers.div_ceil(mapping.blocks_per_stage) as u64;
     let mut breakdown = block.breakdown.scaled(cfg.layers as f64);
     breakdown.cxl += Time::from_ps(cxl_per_block.as_ps() * cfg.layers as u64)
-        + Time::from_ps(hop.as_ps() * stages as u64);
+        + Time::from_ps(hop.as_ps() * stages);
     breakdown.host += host::TOP_K_SAMPLING + host::DISPATCH_PER_TOKEN;
 
     Ok(CentPerformance {
@@ -161,6 +152,20 @@ pub fn evaluate(
         block,
         context,
     })
+}
+
+/// One step of `block` on its stage: the simulated block as is when it
+/// owns its channels on one device, or, when it is sharded over `tp`
+/// devices, its FC phases rescaled from the `sim_channels` simulated to the
+/// `tp × 32` channels it owns, plus the master-device phases and `comm`.
+fn block_step(block: &BlockTiming, sim_channels: usize, tp: usize, comm: Time) -> Time {
+    if tp == 1 {
+        return block.total;
+    }
+    let owned = (tp * CHANNELS_PER_DEVICE) as u64;
+    Time::from_ps(block.fc_time().as_ps() * sim_channels as u64 / owned)
+        + block.master_time()
+        + comm
 }
 
 /// A point on the QoS latency/throughput curve (Figure 14b).

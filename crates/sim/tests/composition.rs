@@ -4,7 +4,7 @@
 
 use cent_compiler::Strategy;
 use cent_model::ModelConfig;
-use cent_sim::evaluate;
+use cent_sim::{evaluate, qos_sweep};
 use cent_types::consts::host;
 use cent_types::Time;
 
@@ -93,4 +93,33 @@ fn evaluation_is_self_consistent() {
     let q1 = perf.query_latency(4, 4);
     let q2 = perf.query_latency(8, 8);
     assert_eq!(q2.as_ps(), 2 * q1.as_ps());
+}
+
+// Pure TP is the hybrid mapping with a single group, so the two price the
+// same deployment identically.
+#[test]
+fn tp_evaluates_as_the_one_group_hybrid() {
+    let cfg = ModelConfig::llama2_7b();
+    let tp = evaluate(&cfg, 8, Strategy::TensorParallel, 4096).unwrap();
+    let hybrid = evaluate(&cfg, 8, Strategy::Hybrid { tp: 8 }, 4096).unwrap();
+    assert_eq!(tp.token_latency, hybrid.token_latency);
+    assert_eq!(tp.decode_tokens_per_s.to_bits(), hybrid.decode_tokens_per_s.to_bits());
+    assert_eq!(tp.prefill_tokens_per_s.to_bits(), hybrid.prefill_tokens_per_s.to_bits());
+    assert_eq!(tp.breakdown, hybrid.breakdown);
+}
+
+// Figure 14(b)'s trade-off: widening the TP groups shortens every token's
+// trip through the model but leaves fewer pipeline stages, and so fewer
+// queries in flight.
+#[test]
+fn qos_sweep_trades_throughput_for_latency() {
+    let (points, skipped) = qos_sweep(&ModelConfig::llama2_7b(), 8, 4096, 512, 3584);
+    assert!(skipped.is_empty(), "{skipped:?}");
+    let labels: Vec<&str> = points.iter().map(|p| p.label.as_str()).collect();
+    assert_eq!(labels, ["PP=32", "PP=4 TP=2", "PP=2 TP=4", "TP=8"]);
+    for w in points.windows(2) {
+        let (a, b) = (&w[0], &w[1]);
+        assert!(b.query_latency_min < a.query_latency_min, "{} → {}: latency", a.label, b.label);
+        assert!(b.queries_per_min < a.queries_per_min, "{} → {}: throughput", a.label, b.label);
+    }
 }

@@ -16,6 +16,8 @@
 //! points. They were captured while the DRAM model still kept 16 per-bank
 //! states and every block step interpreted its own RISC-V calls, so the
 //! lockstep-bank model and the shared timing table must reproduce them.
+//! The Llama2-7B hybrid `PointGolden` was captured later, when a hybrid
+//! group's blocks came to time-share all of its channels as pure TP's do.
 
 use cent::compiler::{weight_image, BlockPlacement, Strategy};
 use cent::core_api::CentSystem;
@@ -136,6 +138,33 @@ fn evaluate_llama2_7b_pp8_matches_per_beat_golden() {
         26_862,
         [395_760, 395_632, 26_336, 21_760, 13_966_336, 11_648, 0, 973_366],
         0x4091_f7f0_0b8b_0b8f,
+    );
+}
+
+/// PP=4 TP=2: four stages, each a group of two devices whose eight blocks
+/// take turns on all 64 of the group's channels.
+#[test]
+fn evaluate_llama2_7b_hybrid_tp2_matches_16_bank_golden() {
+    assert_point_golden(
+        &ModelConfig::llama2_7b(),
+        8,
+        Strategy::Hybrid { tp: 2 },
+        PointGolden {
+            token_latency_ps: 12_267_272_000,
+            block_total_ps: 408_190_500,
+            instructions: 23_018,
+            phases_ps: [
+                ("Norm", 4_722_500),
+                ("FcQkv", 12_541_500),
+                ("Rope", 77_169_000),
+                ("KvAppend", 2_246_500),
+                ("Attention", 257_842_000),
+                ("FcWo", 14_832_000),
+                ("FcFfn", 38_837_000),
+            ],
+            dram: [425_920, 425_408, 65_408, 79_360, 14_097_408, 40_448, 0, 1_089_176],
+            tokens_per_s_bits: 0x4074_69a7_4ce3_3e99,
+        },
     );
 }
 

@@ -8,13 +8,14 @@ fn input(cfg: &ModelConfig, t: usize) -> Vec<f32> {
     (0..cfg.hidden).map(|i| 0.1 * ((i as f32 * 0.37 + t as f32 * 1.3).sin())).collect()
 }
 
-#[test]
-fn full_tiny_model_decode_matches_reference_across_blocks() {
+/// Decodes three tokens of the tiny model on `devices` devices under
+/// `strategy` and checks each against the reference chained over every
+/// block with its own KV cache.
+fn assert_decode_matches_reference(strategy: Strategy, devices: usize) {
     let cfg = ModelConfig::tiny();
-    let mut system = CentSystem::functional(&cfg, 1, Strategy::PipelineParallel).unwrap();
+    let mut system = CentSystem::functional(&cfg, devices, strategy).unwrap();
     system.load_random_weights(7).unwrap();
 
-    // Reference: both blocks chained with their own KV caches.
     let w: Vec<_> = (0..cfg.layers).map(|b| system.block_weights(b).unwrap().clone()).collect();
     let mut caches: Vec<KvCache> = (0..cfg.layers).map(|_| KvCache::new()).collect();
 
@@ -29,10 +30,24 @@ fn full_tiny_model_decode_matches_reference_across_blocks() {
         for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
             assert!(
                 (g - e).abs() <= 0.06 * (e.abs() + scale),
-                "token {t} elem {i}: {g} vs {e} (scale {scale})"
+                "{strategy:?}/{devices}: token {t} elem {i}: {g} vs {e} (scale {scale})"
             );
         }
     }
+}
+
+#[test]
+fn full_tiny_model_decode_matches_reference_across_blocks() {
+    assert_decode_matches_reference(Strategy::PipelineParallel, 1);
+}
+
+/// The blocks of a TP group take turns on the same channels, so each must
+/// keep its weights and KV cache in rows of its own.
+#[test]
+fn time_shared_blocks_decode_like_the_reference() {
+    assert_decode_matches_reference(Strategy::TensorParallel, 1);
+    assert_decode_matches_reference(Strategy::TensorParallel, 2);
+    assert_decode_matches_reference(Strategy::Hybrid { tp: 2 }, 2);
 }
 
 #[test]
