@@ -100,19 +100,66 @@ pub fn fleet_saturation(
     kv_budget_per_group: u64,
     pool: Option<(u64, u64)>,
 ) -> f64 {
-    if loads.is_empty() {
-        return f64::INFINITY;
+    LoadSums::of(loads.iter().copied()).saturation(slots_per_group, kv_budget_per_group, pool)
+}
+
+/// The summed load of a set of alive groups: everything
+/// [`fleet_saturation`] reads from them. The driver sums once per epoch
+/// stop and bumps the sums as it routes, instead of re-reading every group
+/// at each arrival; the sums are integers, so the figure is the same.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct LoadSums {
+    alive: u64,
+    outstanding: u64,
+    kv_tokens: u64,
+}
+
+impl LoadSums {
+    pub(crate) fn of(loads: impl IntoIterator<Item = GroupLoad>) -> Self {
+        let mut sums = LoadSums::default();
+        for l in loads {
+            sums.alive += 1;
+            sums.outstanding += l.outstanding;
+            sums.kv_tokens += l.kv_tokens;
+        }
+        sums
     }
-    let alive = loads.len() as f64;
-    let outstanding: u64 = loads.iter().map(|l| l.outstanding).sum();
-    let kv: u64 = loads.iter().map(|l| l.kv_tokens).sum();
-    let queue = outstanding as f64 / (alive * slots_per_group as f64);
-    let kv_pressure = kv as f64 / (alive * kv_budget_per_group as f64);
-    let pool_pressure = match pool {
-        Some((used, capacity)) => used as f64 / capacity as f64,
-        None => 0.0,
-    };
-    queue.max(kv_pressure).max(pool_pressure)
+
+    /// The union of two disjoint sets of groups.
+    pub(crate) fn plus(self, other: LoadSums) -> Self {
+        LoadSums {
+            alive: self.alive + other.alive,
+            outstanding: self.outstanding + other.outstanding,
+            kv_tokens: self.kv_tokens + other.kv_tokens,
+        }
+    }
+
+    /// Charges one routed request of `kv_tokens`, as the routing snapshot
+    /// is charged.
+    pub(crate) fn route(&mut self, kv_tokens: u64) {
+        self.outstanding += 1;
+        self.kv_tokens += kv_tokens;
+    }
+
+    /// See [`fleet_saturation`].
+    pub(crate) fn saturation(
+        &self,
+        slots_per_group: u64,
+        kv_budget_per_group: u64,
+        pool: Option<(u64, u64)>,
+    ) -> f64 {
+        if self.alive == 0 {
+            return f64::INFINITY;
+        }
+        let alive = self.alive as f64;
+        let queue = self.outstanding as f64 / (alive * slots_per_group as f64);
+        let kv_pressure = self.kv_tokens as f64 / (alive * kv_budget_per_group as f64);
+        let pool_pressure = match pool {
+            Some((used, capacity)) => used as f64 / capacity as f64,
+            None => 0.0,
+        };
+        queue.max(kv_pressure).max(pool_pressure)
+    }
 }
 
 #[cfg(test)]

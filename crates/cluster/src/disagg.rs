@@ -78,7 +78,7 @@ use cent_cxl::SharedKvPool;
 use cent_serving::{GroupOutcome, GroupSim, RequestSpec, ServingSystem};
 use cent_types::Time;
 
-use crate::admission::fleet_saturation;
+use crate::admission::LoadSums;
 use crate::fault::{epoch_ceil, FaultLog, FaultState};
 use crate::fleet::FleetOptions;
 use crate::report::FleetReport;
@@ -335,6 +335,16 @@ impl<'a> DecodeTier<'a> {
         [claim_stop, busy_stop].into_iter().flatten().min()
     }
 
+    /// Whether a claim or rescue is already due at stop `t` with a decode
+    /// group serving to take it — left behind by the publishes of the stop
+    /// at `t` itself. [`step`](Self::step) again at `t` takes it.
+    pub(crate) fn claims_due(&self, t: Time, faults: &FaultState, epoch_ps: u64) -> bool {
+        let claim = self.ready_claims.keys().next().map(|&(visible, _)| visible);
+        let rescue = self.rescues.keys().next().map(|&(crashed, _)| crashed);
+        [claim, rescue].into_iter().flatten().min().is_some_and(|at| epoch_ceil(at, epoch_ps) <= t)
+            && self.decode.iter().any(|&g| faults.serving(g))
+    }
+
     /// A crash orphaned `spec`. A decode-tier orphan whose parked pool copy
     /// survived is queued for rescue (returns `true`); anything else loses
     /// its decode phase and must rerun from the prompt.
@@ -376,20 +386,16 @@ impl<'a> DecodeTier<'a> {
         RequestSpec { decode: 1, ..spec }
     }
 
-    /// Fleet saturation over both tiers' serving loads plus pool
-    /// occupancy; `prefill_loads` is the driver's entry-tier snapshot.
-    pub(crate) fn saturation(
+    /// What fleet saturation reads from this tier: the decode tier's
+    /// serving loads, summed, and the pool's `(used, capacity)`. Neither
+    /// changes during a stop's arrival phase.
+    pub(crate) fn shed_load(
         &self,
-        prefill_loads: &[GroupLoad],
         sims: &[GroupSim],
         faults: &FaultState,
-        slots_per_group: u64,
-        kv_budget_per_group: u64,
-    ) -> f64 {
-        let mut combined = prefill_loads.to_vec();
-        combined.extend(faults.serving_loads(&self.decode, sims));
-        let pool = Some((self.pool.used_tokens(), self.cfg.pool_tokens));
-        fleet_saturation(&combined, slots_per_group, kv_budget_per_group, pool)
+    ) -> (LoadSums, (u64, u64)) {
+        let decode = LoadSums::of(faults.serving_loads(&self.decode, sims));
+        (decode, (self.pool.used_tokens(), self.cfg.pool_tokens))
     }
 
     /// The handoff phases of one stop, after the fault phase: harvest

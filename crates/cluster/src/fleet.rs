@@ -50,7 +50,7 @@ use cent_serving::ServingSystem;
 use cent_serving::{GroupOutcome, GroupSim, PriorityClass, RequestSpec, ServeOptions};
 use cent_types::Time;
 
-use crate::admission::{fleet_saturation, AdmissionPolicy};
+use crate::admission::{AdmissionPolicy, LoadSums};
 use crate::disagg::{DecodeTier, DisaggConfig, DisaggLog, DisaggOutcome, GroupRole};
 use crate::fault::{
     epoch_ceil, FaultLog, FaultSchedule, FaultSpec, FaultState, RecoveryMode, RetryPolicy,
@@ -317,7 +317,7 @@ pub(crate) fn run(
     let mut loads: Vec<GroupLoad> = Vec::with_capacity(entry.len());
     let mut routed = vec![usize::MAX; trace.len()];
     let mut cursor = 0usize;
-    let mut now = Time::ZERO;
+    let mut now: Option<Time> = None;
     loop {
         debug_assert!(
             cursor == 0
@@ -337,17 +337,17 @@ pub(crate) fn run(
             .next()
             .filter(|_| entry.iter().any(|&g| faults.serving(g)))
             .map(|&(ready, _, _)| epoch_ceil(ready, epoch_ps));
-        let tier_stop = tier.as_ref().and_then(|d| d.next_stop(now, &sims, &faults, epoch_ps));
+        let tier_stop = tier
+            .as_ref()
+            .and_then(|d| d.next_stop(now.unwrap_or(Time::ZERO), &sims, &faults, epoch_ps));
         let Some(stop) =
             [arrival_stop, faults.next_at(), retry_stop, tier_stop].into_iter().flatten().min()
         else {
             break;
         };
-        // A publish can land with `visible` already in the past, which
-        // would put the claim stop behind the fleet. The driver never
-        // rewinds: such claims are taken at the current stop instead.
-        let t = stop.max(now);
-        now = t;
+        debug_assert!(now < Some(stop), "stop {stop} does not advance the fleet past {now:?}");
+        let t = stop;
+        now = Some(t);
         for_each_sharded(&mut sims, fleet.threads, |sim| sim.advance_to(t));
 
         // Fault phase, before any cross-group logic so everything at this
@@ -409,7 +409,16 @@ pub(crate) fn run(
         // against the boundary snapshot, bumping the index optimistically
         // so intra-epoch bursts still spread. Saturation-shed arrivals
         // never dispatch; with no live entry group the rest are deferred
-        // until the next recovery.
+        // until the next recovery. Saturation reads the snapshot summed
+        // with the decode tier and the pool, which only the tier step
+        // moves: sum once, then bump the sums with each routing.
+        let mut shed_load = shedding.then(|| match &tier {
+            Some(d) => {
+                let (decode, pool) = d.shed_load(&sims, &faults);
+                (LoadSums::of(loads.iter().copied()).plus(decode), Some(pool))
+            }
+            None => (LoadSums::of(loads.iter().copied()), None),
+        });
         let epoch_end =
             Time::from_ps(t.as_ps().checked_add(epoch_ps).expect("epoch end overflows Time"));
         while cursor < trace.len() && trace[cursor].arrival < epoch_end {
@@ -417,13 +426,8 @@ pub(crate) fn run(
             let idx = cursor;
             cursor += 1;
             assert!(!split || spec.decode >= 1, "a request generates at least its first token");
-            if shedding {
-                let sat = match &tier {
-                    Some(d) => {
-                        d.saturation(&loads, &sims, &faults, slots_per_group, kv_budget_per_group)
-                    }
-                    None => fleet_saturation(&loads, slots_per_group, kv_budget_per_group, None),
-                };
+            if let Some((sums, pool)) = &shed_load {
+                let sat = sums.saturation(slots_per_group, kv_budget_per_group, *pool);
                 if !fleet.admission.admits(spec.class, sat) {
                     faults.log.shed.push((spec.id, spec.class));
                     continue;
@@ -435,10 +439,22 @@ pub(crate) fn run(
             }
             let placed = tier.as_mut().map_or(spec, |d| d.admit(spec));
             let g = route_onto(router, &placed, &mut loads);
+            if let Some((sums, _)) = shed_load.as_mut() {
+                sums.route(placed.kv_tokens());
+            }
             sims[g].push_arrival(placed);
             routed[idx] = g;
             if faulty {
                 *attempts.entry(spec.id.0).or_insert(0) += 1;
+            }
+        }
+
+        // A publish at this stop can land with `visible` already at or
+        // before `t`. Such contexts are claimed now, after the arrival
+        // phase, rather than at a second stop on the same instant.
+        if let Some(d) = tier.as_mut() {
+            while d.claims_due(t, &faults, epoch_ps) {
+                d.step(t, &mut sims, &faults, router, epoch_ps);
             }
         }
     }

@@ -36,7 +36,7 @@
 //! evicted context must fall back to re-prefill.
 
 use cent_types::Time;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One published-but-unclaimed KV context resident in the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +69,8 @@ pub struct SharedKvPool {
     /// Durable copies parked at claim time, by raw request id:
     /// `(parked_at, tokens)`. Hold no capacity reservation.
     parked: BTreeMap<u64, (Time, u64)>,
+    /// The keys of `parked` in eviction order, `(parked_at, id)`.
+    parked_order: BTreeSet<(Time, u64)>,
     parked_tokens: u64,
     evictions: u64,
 }
@@ -94,6 +96,7 @@ impl SharedKvPool {
             claims: 0,
             refusals: 0,
             parked: BTreeMap::new(),
+            parked_order: BTreeSet::new(),
             parked_tokens: 0,
             evictions: 0,
         }
@@ -176,11 +179,9 @@ impl SharedKvPool {
         // Parked copies only borrow the physical slack: evict the oldest
         // ones until the live reservations fit alongside what remains.
         while self.used_tokens + self.parked_tokens > self.capacity_tokens {
-            let oldest = self
-                .parked
-                .iter()
-                .min_by_key(|(id, (at, _))| (*at, **id))
-                .map(|(id, _)| *id)
+            let (_, oldest) = self
+                .parked_order
+                .pop_first()
                 .expect("parked copies cannot outgrow capacity without entries");
             let (_, evicted) = self.parked.remove(&oldest).expect("oldest parked copy resident");
             self.parked_tokens -= evicted;
@@ -227,6 +228,7 @@ impl SharedKvPool {
         assert!(tokens > 0, "a parked copy needs at least one KV token");
         let prev = self.parked.insert(id, (at, tokens));
         assert!(prev.is_none(), "request {id} parked twice");
+        self.parked_order.insert((at, id));
         self.parked_tokens += tokens;
     }
 
@@ -235,7 +237,8 @@ impl SharedKvPool {
     /// `None` means the copy was never parked or has been evicted, and the
     /// context must re-prefill.
     pub fn rescue(&mut self, id: u64) -> Option<u64> {
-        let (_, tokens) = self.parked.remove(&id)?;
+        let (at, tokens) = self.parked.remove(&id)?;
+        self.parked_order.remove(&(at, id));
         self.parked_tokens -= tokens;
         Some(tokens)
     }
@@ -244,13 +247,7 @@ impl SharedKvPool {
     /// and no longer needs a recovery copy. Returns whether a copy was
     /// still resident.
     pub fn discard_parked(&mut self, id: u64) -> bool {
-        match self.parked.remove(&id) {
-            Some((_, tokens)) => {
-                self.parked_tokens -= tokens;
-                true
-            }
-            None => false,
-        }
+        self.rescue(id).is_some()
     }
 
     /// KV tokens held by parked durable copies (outside the capacity
@@ -372,6 +369,108 @@ mod tests {
         pool.park(9, 25, t(30));
         assert!(pool.discard_parked(9), "completing the context releases its copy");
         assert_eq!(pool.parked_tokens(), 0);
+    }
+
+    /// The pool's parked-copy bookkeeping, as a plain scan: every copy in
+    /// a list, eviction picks the smallest `(parked_at, id)`.
+    #[derive(Default)]
+    struct ScanOracle {
+        used: u64,
+        parked: Vec<(u64, Time, u64)>,
+        evictions: u64,
+    }
+
+    impl ScanOracle {
+        fn parked_tokens(&self) -> u64 {
+            self.parked.iter().map(|&(_, _, tokens)| tokens).sum()
+        }
+
+        fn unpark(&mut self, id: u64) -> Option<u64> {
+            let pos = self.parked.iter().position(|&(p, _, _)| p == id)?;
+            Some(self.parked.remove(pos).2)
+        }
+
+        fn publish(&mut self, tokens: u64, capacity: u64) -> bool {
+            if self.used + tokens > capacity {
+                return false;
+            }
+            self.used += tokens;
+            while self.used + self.parked_tokens() > capacity {
+                let oldest = (0..self.parked.len())
+                    .min_by_key(|&i| (self.parked[i].1, self.parked[i].0))
+                    .expect("a parked copy to evict");
+                self.parked.remove(oldest);
+                self.evictions += 1;
+            }
+            true
+        }
+    }
+
+    #[test]
+    fn eviction_order_matches_a_scan_over_random_sequences() {
+        use cent_types::Rng64;
+        let mut evictions = 0;
+        for seed in 0..40 {
+            let mut rng = Rng64::seed(seed);
+            let capacity = 50 + rng.next_below(200);
+            let mut pool = SharedKvPool::new(capacity, 2);
+            let mut oracle = ScanOracle::default();
+            // Published-but-unclaimed and claimed-not-parked ids, by value.
+            let mut live: Vec<(u64, u64)> = Vec::new();
+            let mut claimed: Vec<(u64, u64)> = Vec::new();
+            let mut now = 0u64;
+            for id in 0..400u64 {
+                // Coarse instants, so parked copies often tie on `at` and
+                // the id decides.
+                now += rng.next_below(3);
+                match rng.next_below(5) {
+                    0 | 1 => {
+                        let tokens = 1 + rng.next_below(capacity / 3);
+                        let link = rng.next_below(2) as usize;
+                        let got = pool.try_publish(id, tokens, t(now), link, t(1));
+                        assert_eq!(got.is_some(), oracle.publish(tokens, capacity), "seed {seed}");
+                        if got.is_some() {
+                            live.push((id, tokens));
+                        }
+                    }
+                    2 if !live.is_empty() => {
+                        let (id, tokens) = live.remove(rng.next_below(live.len() as u64) as usize);
+                        let at = pool.entry(id).expect("live entry").visible.max(t(now));
+                        pool.claim(id, at);
+                        oracle.used -= tokens;
+                        claimed.push((id, tokens));
+                    }
+                    3 if !claimed.is_empty() => {
+                        let (id, tokens) =
+                            claimed.remove(rng.next_below(claimed.len() as u64) as usize);
+                        pool.park(id, tokens, t(now));
+                        oracle.parked.push((id, t(now), tokens));
+                    }
+                    _ if !oracle.parked.is_empty() => {
+                        let (id, _, _) =
+                            oracle.parked[rng.next_below(oracle.parked.len() as u64) as usize];
+                        if rng.next_below(2) == 0 {
+                            assert_eq!(pool.rescue(id), oracle.unpark(id), "seed {seed}");
+                        } else {
+                            let expect = oracle.unpark(id).is_some();
+                            assert_eq!(pool.discard_parked(id), expect, "seed {seed}");
+                        }
+                    }
+                    _ => {}
+                }
+                assert_eq!(pool.evictions(), oracle.evictions, "seed {seed} op {id}");
+                assert_eq!(pool.parked_tokens(), oracle.parked_tokens(), "seed {seed} op {id}");
+                assert_eq!(pool.parked_len(), oracle.parked.len(), "seed {seed} op {id}");
+                assert_eq!(pool.used_tokens(), oracle.used, "seed {seed} op {id}");
+            }
+            // Survivors are exactly the oracle's, and evicted ids are gone.
+            for &(id, _, tokens) in &oracle.parked {
+                assert_eq!(pool.rescue(id), Some(tokens), "seed {seed}");
+            }
+            assert_eq!(pool.parked_len(), 0, "seed {seed}");
+            evictions += oracle.evictions;
+        }
+        assert!(evictions > 100, "the sequences must evict, got {evictions}");
     }
 
     #[test]

@@ -171,8 +171,7 @@ impl QueuedRequest {
     /// following gaps all equal `interval`, so the caller can record the
     /// whole time-between-tokens mass with one histogram update.
     ///
-    /// The request must not complete inside the span: the caller is
-    /// responsible for ending spans strictly before the last token.
+    /// The span may end on the request's final token, never past it.
     pub fn apply_token_span(&mut self, first: Time, interval: Time, count: u64) -> Option<Time> {
         debug_assert!(count > 0, "empty spans are not applied");
         let prev = self.last_token;
@@ -180,7 +179,7 @@ impl QueuedRequest {
             self.first_token = Some(first);
         }
         self.progress += count as usize;
-        debug_assert!(self.progress < self.spec.decode, "span ran through completion");
+        debug_assert!(self.progress <= self.spec.decode, "span ran past completion");
         self.last_token = Some(first + interval.times(count - 1));
         prev.map(|p| first.saturating_sub(p))
     }

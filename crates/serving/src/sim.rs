@@ -25,8 +25,16 @@
 //! next decision instant in closed form and emits all intervening tokens
 //! as batched spans: heap traffic is `O(arrivals + completions +
 //! preemptions)`, independent of how many ticks the spans cover. Resident
-//! state lives in a dense slab indexed by small handles, so the decision
-//! walk is an array walk, not a tree lookup. The straight-line loop with
+//! state is split hot and cold. Each replica keeps its residents, in
+//! admission order, as one contiguous array of 24-byte hot records (next
+//! token instant, final token instant, lease, whether a span has emitted
+//! for it since admission), and every per-event walk —
+//! the fast-forward, the wake's due filter and the decision solve — reads
+//! only that array. On the grid a resident's progress is a function of its
+//! next token instant, so the cold [`QueuedRequest`] waits untouched in a
+//! lease-indexed slab and is *settled* (progress, first and last token,
+//! the resume gap and the token and TBT counts) only when the resident
+//! leaves: at completion, eviction or crash. The straight-line loop with
 //! one heap entry per generated token is retained as
 //! [`TickEngine::PerTokenReference`], the differential oracle: both engines
 //! produce bit-identical [`ServingReport`]s (enforced by differential
@@ -659,13 +667,8 @@ pub struct GroupSim {
     heap: EventHeap,
     slab: Slab,
     spans: Vec<ReplicaSpan>,
-    /// Lease handle → slab handle, so preemption victims reported by the
-    /// scheduler resolve to residents without a map lookup.
-    lease_handle: Vec<u32>,
     /// Steady-state scratch buffers, allocated once per run.
-    due: Vec<u32>,
     victims: Vec<Preemption>,
-    dirty: Vec<bool>,
     /// Replicas whose decision fires at the current instant.
     firing: Vec<u32>,
     /// Requests pushed so far (the report's `submitted` denominator).
@@ -695,10 +698,7 @@ impl GroupSim {
             heap: EventHeap::new(),
             slab: Slab::default(),
             spans: vec![ReplicaSpan::default(); replicas],
-            lease_handle: Vec::new(),
-            due: Vec::new(),
             victims: Vec::new(),
-            dirty: vec![false; replicas],
             firing: Vec::with_capacity(replicas),
             submitted: 0,
             advanced_to: Time::ZERO,
@@ -874,22 +874,24 @@ impl GroupSim {
             at,
             self.advanced_to
         );
-        let GroupSim { core, heap, slab, spans, dirty, .. } = self;
+        let GroupSim { core, heap, slab, spans, .. } = self;
         // Charge occupancy up to the crash instant first, so the integrals
         // reflect the work the group really did.
         core.accumulate_to(at);
         core.window_end = at;
         let mut orphans: Vec<RequestSpec> = Vec::new();
         // In-flight residents: release their leases and reclaim the specs.
-        // Progress is discarded — the KV pages died with the group.
+        // Their tokens still count; their progress is then discarded — the
+        // KV pages died with the group.
         for span in spans.iter_mut() {
-            for &h in span.members.iter() {
-                let r = slab.remove(h);
-                core.scheduler.complete(r.lease);
-                orphans.push(r.q.spec);
+            for m in span.members.drain(..) {
+                core.scheduler.complete(m.lease);
+                let mut q = slab.remove(m.lease);
+                core.settle(&mut q, &m);
+                orphans.push(q.spec);
             }
-            span.members.clear();
             span.scheduled = None;
+            span.dirty = false;
         }
         // Pending events: redispatched or not-yet-absorbed arrivals become
         // orphans again; wakes die with the spans that scheduled them.
@@ -920,9 +922,6 @@ impl GroupSim {
             *free = Time::ZERO;
         }
         core.admission_dirty = false;
-        for d in dirty.iter_mut() {
-            *d = false;
-        }
         orphans.sort_unstable_by_key(|s| (s.arrival, s.id));
         self.advanced_to = self.advanced_to.max(at);
         orphans
@@ -942,8 +941,7 @@ impl GroupSim {
     /// semantics.
     fn step(&mut self, t: Time) {
         let interval = self.interval;
-        let GroupSim { core, heap, slab, spans, lease_handle, due, victims, dirty, firing, .. } =
-            self;
+        let GroupSim { core, heap, slab, spans, victims, firing, .. } = self;
         core.accumulate_to(t);
         // Fast-forward every replica's deterministic emissions up to
         // `t` — inclusive unless the replica's own decision fires at
@@ -951,9 +949,9 @@ impl GroupSim {
         // growth can preempt and final tokens can complete). The
         // per-replica staircase areas fold into ONE integral update.
         let mut span_area: u128 = 0;
-        for span in spans.iter() {
+        for span in spans.iter_mut() {
             let inclusive = span.scheduled != Some(t);
-            span_area += core.fast_forward_replica(slab, &span.members, t, inclusive);
+            span_area += core.fast_forward_replica(&mut span.members, t, inclusive);
         }
         core.kv_integral.add_area(span_area);
         // Drain every event at this instant, collecting the replicas whose
@@ -981,85 +979,87 @@ impl GroupSim {
         firing.sort_unstable();
         for &replica in firing.iter() {
             let replica = replica as usize;
-            dirty[replica] = true;
+            spans[replica].dirty = true;
             core.tick_events += 1;
-            due.clear();
-            due.extend(
-                spans[replica]
-                    .members
-                    .iter()
-                    .copied()
-                    .filter(|&h| slab.get(h).is_some_and(|r| r.next_at == t)),
-            );
-            for &h in due.iter() {
-                // An earlier grower at this instant may have evicted this
-                // resident; its slot stays empty until admission runs.
-                let Some(r) = slab.get(h) else { continue };
-                if r.next_at != t {
+            // One pass over the members in admission order. Nothing joins
+            // the replica before admission runs, and a walked resident's
+            // next token moves past `t`, so the residents due at `t` are
+            // exactly the members found with `next_at == t`. Departures
+            // are removed in place; `i` stays on the next unvisited one.
+            let members = &mut spans[replica].members;
+            let mut i = 0;
+            while i < members.len() {
+                let lease = members[i].lease;
+                if members[i].next_at != t {
+                    i += 1;
                     continue;
                 }
-                let lease = r.lease;
                 // Grow the KV reservation for this token; pool exhaustion
-                // preempts the youngest residents.
+                // preempts residents of this replica.
                 let mut self_preempted = false;
                 core.scheduler.grow(lease, victims);
                 for &p in victims.iter() {
-                    let vh = lease_handle[p.lease.index()];
-                    let v = slab.remove(vh);
-                    debug_assert_eq!(v.q.spec.id, p.id, "slab and leases agree");
-                    remove_span_member(&mut spans[v.replica].members, vh);
-                    if p.lease == lease {
-                        self_preempted = true;
+                    let pos = members
+                        .iter()
+                        .position(|m| m.lease == p.lease)
+                        .expect("victim is a span member");
+                    let v = members.remove(pos);
+                    if pos < i {
+                        i -= 1;
                     }
-                    core.preempt(v.q, v.replica);
+                    self_preempted |= p.lease == lease;
+                    let mut q = slab.remove(v.lease);
+                    debug_assert_eq!(q.spec.id, p.id, "slab and leases agree");
+                    core.settle(&mut q, &v);
+                    core.preempt(q, replica);
                 }
                 if self_preempted {
                     continue;
                 }
-                let r = slab.get_mut(h).expect("survived growth");
-                if core.emit_token(&mut r.q, t) {
+                let m = &mut members[i];
+                m.next_at = t + interval;
+                if t == m.done_at {
                     core.scheduler.complete(lease);
-                    let r = slab.remove(h);
-                    remove_span_member(&mut spans[r.replica].members, h);
-                    core.finish(r.q, r.replica, t);
+                    let m = members.remove(i);
+                    let mut q = slab.remove(lease);
+                    core.settle(&mut q, &m);
+                    core.finish(q, replica, t);
                 } else {
-                    r.next_at = t + interval;
+                    i += 1;
                 }
             }
         }
         if core.admission_dirty {
             core.admission_dirty = false;
             for p in core.admit(t) {
-                let h = slab.insert(Resident {
-                    q: p.q,
-                    replica: p.replica,
-                    lease: p.lease,
+                let remaining = p.q.remaining_decode() as u64;
+                debug_assert!(remaining >= 1, "finished requests are never requeued");
+                let span = &mut spans[p.replica];
+                span.members.push(Member {
                     next_at: p.first_token,
+                    done_at: p.first_token + interval.times(remaining - 1),
+                    lease: p.lease,
+                    spanned: false,
                 });
-                if lease_handle.len() <= p.lease.index() {
-                    lease_handle.resize(p.lease.index() + 1, u32::MAX);
-                }
-                lease_handle[p.lease.index()] = h;
-                spans[p.replica].members.push(h);
-                dirty[p.replica] = true;
+                span.dirty = true;
+                slab.insert(p.lease, p.q);
             }
         }
         // Re-solve the decision instant of every replica whose resident
         // set or reservation headroom changed at this instant.
-        for (replica, changed) in dirty.iter_mut().enumerate() {
-            if !*changed {
+        for (replica, span) in spans.iter_mut().enumerate() {
+            if !span.dirty {
                 continue;
             }
-            *changed = false;
-            let next = next_decision(core, slab, &spans[replica].members, interval, replica);
-            match next {
-                Some(at) if spans[replica].scheduled != Some(at) => {
+            span.dirty = false;
+            match next_decision(core, &span.members, replica) {
+                Some(at) if span.scheduled != Some(at) => {
                     debug_assert!(at > t, "decision must advance");
-                    spans[replica].scheduled = Some(at);
+                    span.scheduled = Some(at);
                     heap.push(at, Event::Wake { replica: replica as u32 });
                 }
                 Some(_) => {}
-                None => spans[replica].scheduled = None,
+                None => span.scheduled = None,
             }
         }
     }
@@ -1183,7 +1183,7 @@ struct Core {
 /// into the class histogram with one `record_n` at outcome time. A gap off
 /// the cadence (a resume gap after a preemption, swap or handoff) goes into
 /// a histogram that is allocated on the first such gap.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq)]
 struct ClassTbt {
     /// Gaps exactly one `token_interval` long.
     on_cadence: u64,
@@ -1315,11 +1315,10 @@ impl Core {
 
     /// Runs admission at instant `t` and computes each admitted request's
     /// service timeline (prefill or swap-in) and first-token instant.
-    fn admit(&mut self, t: Time) -> Vec<Placed> {
+    fn admit(&mut self, t: Time) -> impl Iterator<Item = Placed> + '_ {
         let ctx = PolicyContext { now: t, token_interval: self.token_interval };
         let admitted = self.scheduler.admit_ready(&ctx);
-        let mut placed = Vec::with_capacity(admitted.len());
-        for admission in admitted {
+        admitted.into_iter().map(move |admission| {
             let mut q = admission.req;
             if q.first_admitted.is_none() {
                 q.first_admitted = Some(t);
@@ -1390,34 +1389,44 @@ impl Core {
                 done
             };
             self.epoch += 1;
-            placed.push(Placed {
+            Placed {
                 q,
                 replica: admission.replica,
                 lease: admission.lease,
                 first_token: self.next_step(ready),
                 epoch: self.epoch,
-            });
-        }
-        placed
+            }
+        })
     }
 
-    /// Applies a batch of `count` grid-spaced tokens to `q`, the first at
-    /// `first` — the span-fast-forward equivalent of `count` uneventful
-    /// [`emit_token`](Self::emit_token) calls. The span must end strictly
-    /// before the request's final token (the caller's decision solver
-    /// guarantees it), so completion never needs checking here. The
-    /// `count - 1` gaps inside the span are on the cadence and only bump the
-    /// class's counter; the resume gap before the span, if any, is counted
-    /// the same way when it is on the cadence and recorded otherwise.
-    fn emit_span(&mut self, q: &mut QueuedRequest, first: Time, count: u64) {
-        self.tokens += count;
+    /// Settles a departing span-engine resident: applies every token it
+    /// emitted since admission — those on the grid before `m.next_at` — to
+    /// its cold request, and counts them in one go. The `n - 1` gaps
+    /// inside the run are on the cadence and only bump the class's counter;
+    /// the resume gap before it, if any, is counted the same way when it is
+    /// on the cadence and recorded otherwise. Called once per departure
+    /// (completion, eviction, crash), before anything reads the request.
+    fn settle(&mut self, q: &mut QueuedRequest, m: &Member) {
         let interval = self.token_interval;
-        self.window_end = self.window_end.max(first + interval.times(count - 1));
-        let gap = q.apply_token_span(first, interval, count);
-        let class = self.class_tbt(q.spec.class);
-        class.on_cadence += count - 1;
-        if let Some(gap) = gap {
-            class.record(gap, interval);
+        let step = interval.as_ps();
+        let owed = (m.done_at.as_ps() + step - m.next_at.as_ps()) / step;
+        let n = q.remaining_decode() as u64 - owed;
+        if n == 0 {
+            debug_assert!(!m.spanned, "a span emits at least one token");
+            return;
+        }
+        self.tokens += n;
+        self.window_end = self.window_end.max(m.next_at - interval);
+        let gap = q.apply_token_span(m.next_at - interval.times(n), interval, n);
+        // A request's very first token has no gap before it. Emitted alone
+        // at a decision tick it leaves the class's accumulator unopened,
+        // exactly as a per-token walk would; any span opens it.
+        if m.spanned || n > 1 || gap.is_some() {
+            let class = self.class_tbt(q.spec.class);
+            class.on_cadence += n - 1;
+            if let Some(gap) = gap {
+                class.record(gap, interval);
+            }
         }
     }
 
@@ -1437,6 +1446,8 @@ impl Core {
     /// resident, with the scheduler's reservation grown in one call. The
     /// caller's decision solver guarantees the window holds no completion
     /// and no exhaustion, so every span is uneventful by construction.
+    /// Only the hot records move; [`settle`](Self::settle) books the
+    /// tokens when the resident leaves.
     ///
     /// Returns the closed-form KV-integral correction area in token·ps:
     /// the integral of the replica's reservation-growth staircase *above*
@@ -1444,31 +1455,23 @@ impl Core {
     /// charged for the window ending at `t` (each of a resident's `count`
     /// span tokens at instant `e` holds one extra token over `[e, t)`, so
     /// its area is `Σ (t − e)` — an arithmetic series).
-    fn fast_forward_replica(
-        &mut self,
-        slab: &mut Slab,
-        members: &[u32],
-        t: Time,
-        inclusive: bool,
-    ) -> u128 {
+    fn fast_forward_replica(&mut self, members: &mut [Member], t: Time, inclusive: bool) -> u128 {
         let interval = self.token_interval;
         let step = interval.as_ps();
         let mut area: u128 = 0;
-        for &h in members {
-            let r = slab.get_mut(h).expect("members are live");
-            if r.next_at > t || (!inclusive && r.next_at == t) {
+        for m in members {
+            if m.next_at > t || (!inclusive && m.next_at == t) {
                 continue;
             }
-            let d = t.as_ps() - r.next_at.as_ps();
+            let d = t.as_ps() - m.next_at.as_ps();
             let count = if inclusive { d / step + 1 } else { d.div_ceil(step) };
-            self.scheduler.grow_n(r.lease, count);
             if self.granular_kv {
+                self.scheduler.grow_n(m.lease, count);
                 area += u128::from(count) * u128::from(d)
                     - u128::from(step) * (u128::from(count) * u128::from(count - 1) / 2);
             }
-            let first = r.next_at;
-            r.next_at = first + interval.times(count);
-            self.emit_span(&mut r.q, first, count);
+            m.next_at += interval.times(count);
+            m.spanned = true;
         }
         area
     }
@@ -1492,6 +1495,8 @@ impl Core {
 
     /// Records a completion (the scheduler lease must already be released).
     fn finish(&mut self, q: QueuedRequest, replica: usize, t: Time) {
+        #[cfg(test)]
+        tests::log_departure(self, &q);
         self.admission_dirty = true;
         self.records.push(RequestRecord {
             spec: q.spec,
@@ -1508,6 +1513,8 @@ impl Core {
     /// [`KvSpillMode`] and the per-victim cost comparator. Called at the
     /// current instant (`last_t`); the scheduler lease is already released.
     fn preempt(&mut self, mut q: QueuedRequest, replica: usize) {
+        #[cfg(test)]
+        tests::log_departure(self, &q);
         self.admission_dirty = true;
         q.preemptions += 1;
         let t = self.last_t;
@@ -1639,14 +1646,21 @@ impl Core {
     }
 }
 
-/// Loop-side state of a resident in the span engine.
+/// The hot record of a resident in the span engine: what the per-event
+/// walks read. Tokens land one step apart from `next_at` through
+/// `done_at`, so the resident's progress is implied by `next_at`; its cold
+/// [`QueuedRequest`] is brought up to date only when it leaves
+/// ([`Core::settle`]).
 #[derive(Debug, Clone, Copy)]
-struct Resident {
-    q: QueuedRequest,
-    replica: usize,
-    lease: LeaseId,
-    /// Instant of this resident's next token.
+struct Member {
+    /// Instant of the resident's next token.
     next_at: Time,
+    /// Instant of its final token, fixed at admission.
+    done_at: Time,
+    /// Scheduler lease; also the resident's index in the cold [`Slab`].
+    lease: LeaseId,
+    /// Whether a fast-forward span has emitted for it since admission.
+    spanned: bool,
 }
 
 /// Loop-side state of a resident in the per-token reference engine.
@@ -1660,42 +1674,26 @@ struct RefResident {
     epoch: u64,
 }
 
-/// Dense resident storage for the span engine: the hot path indexes an
-/// array slot instead of walking an id-keyed tree. Freed handles are
-/// recycled LIFO, deterministically.
+/// Cold resident state of the span engine: each resident's request as it
+/// stood at admission, indexed by its scheduler lease (the scheduler keeps
+/// leases dense and recycles them only after release).
 #[derive(Debug, Default)]
 struct Slab {
-    slots: Vec<Option<Resident>>,
-    free: Vec<u32>,
+    slots: Vec<Option<QueuedRequest>>,
 }
 
 impl Slab {
-    fn insert(&mut self, r: Resident) -> u32 {
-        match self.free.pop() {
-            Some(h) => {
-                debug_assert!(self.slots[h as usize].is_none(), "reusing a live slot");
-                self.slots[h as usize] = Some(r);
-                h
-            }
-            None => {
-                self.slots.push(Some(r));
-                (self.slots.len() - 1) as u32
-            }
+    fn insert(&mut self, lease: LeaseId, q: QueuedRequest) {
+        let i = lease.index();
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
         }
+        debug_assert!(self.slots[i].is_none(), "reusing a live slot");
+        self.slots[i] = Some(q);
     }
 
-    fn remove(&mut self, h: u32) -> Resident {
-        let r = self.slots[h as usize].take().expect("removing an empty slot");
-        self.free.push(h);
-        r
-    }
-
-    fn get(&self, h: u32) -> Option<&Resident> {
-        self.slots[h as usize].as_ref()
-    }
-
-    fn get_mut(&mut self, h: u32) -> Option<&mut Resident> {
-        self.slots[h as usize].as_mut()
+    fn remove(&mut self, lease: LeaseId) -> QueuedRequest {
+        self.slots[lease.index()].take().expect("removing an empty slot")
     }
 
     fn is_empty(&self) -> bool {
@@ -1703,33 +1701,29 @@ impl Slab {
     }
 }
 
-/// Per-replica state of the span engine: resident handles in admission
-/// order plus the fire instant of the replica's live `Wake` heap entry.
+/// Per-replica state of the span engine: the residents' hot records in
+/// admission order plus the fire instant of the replica's live `Wake`
+/// heap entry.
 #[derive(Debug, Clone, Default)]
 struct ReplicaSpan {
-    /// Resident handles in admission order (the order simultaneous token
-    /// events on one replica resolve in).
-    members: Vec<u32>,
+    /// Residents in admission order (the order simultaneous token events
+    /// on one replica resolve in).
+    members: Vec<Member>,
     /// Fire instant of this replica's live `Wake` entry, if any. A popped
     /// wake whose instant does not match was superseded by a re-solved
     /// decision and is dropped, so stale entries retire without heap
     /// surgery.
     scheduled: Option<Time>,
-}
-
-/// Removes a resident handle from a replica's span member list, preserving
-/// admission order.
-fn remove_span_member(members: &mut Vec<u32>, h: u32) {
-    let pos = members.iter().position(|&x| x == h).expect("resident is a span member");
-    members.remove(pos);
+    /// Whether the resident set or the reservation headroom changed at
+    /// the current instant, so the decision must be re-solved.
+    dirty: bool,
 }
 
 /// Solves one replica's next *decision instant* in closed form: the
 /// earliest instant at which something other than plain on-cadence token
 /// emission happens. That is the minimum of
 ///
-/// * the earliest resident completion on the step grid
-///   (`next_at + (remaining − 1) · interval`), and
+/// * the earliest resident completion on the step grid (`done_at`), and
 /// * under token-granular accounting, the first tick whose deterministic
 ///   growth — every resident reserves one more token per step from its
 ///   `next_at` onward — would exceed the replica's KV headroom and so
@@ -1745,33 +1739,16 @@ fn remove_span_member(members: &mut Vec<u32>, h: u32) {
 /// with `next_atᵢ ≤ s`), which is monotone, so the minimal `s` with
 /// `C(s) > headroom` is exact — and it is only bisected at all when
 /// `C(earliest completion) > headroom` says the pool dies first.
-fn next_decision(
-    core: &Core,
-    slab: &Slab,
-    members: &[u32],
-    interval: Time,
-    replica: usize,
-) -> Option<Time> {
-    let step = interval.as_ps();
-    let mut completion = u64::MAX;
-    let mut earliest = u64::MAX;
-    for &h in members {
-        let r = slab.get(h).expect("members are live");
-        let remaining = (r.q.spec.decode - r.q.progress) as u64;
-        debug_assert!(remaining >= 1, "finished residents leave the slab");
-        completion = completion.min(r.next_at.as_ps() + (remaining - 1) * step);
-        earliest = earliest.min(r.next_at.as_ps());
-    }
-    if completion == u64::MAX {
-        return None;
-    }
+fn next_decision(core: &Core, members: &[Member], replica: usize) -> Option<Time> {
+    let step = core.token_interval.as_ps();
+    let completion = members.iter().map(|m| m.done_at.as_ps()).min()?;
     if core.granular_kv {
         let headroom = core.scheduler.kv_headroom(replica);
         let count = |s: u64| -> u64 {
             members
                 .iter()
-                .map(|&h| {
-                    let at = slab.get(h).expect("members are live").next_at.as_ps();
+                .map(|m| {
+                    let at = m.next_at.as_ps();
                     if at <= s {
                         (s - at) / step + 1
                     } else {
@@ -1781,6 +1758,7 @@ fn next_decision(
                 .sum()
         };
         if count(completion) > headroom {
+            let earliest = members.iter().map(|m| m.next_at.as_ps()).min().expect("non-empty");
             let (mut lo, mut hi) = (earliest, completion);
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
@@ -1910,6 +1888,19 @@ mod tests {
     use super::*;
     use crate::queue::RequestId;
     use crate::workload::{ArrivalProcess, ClassMix, LengthSampler};
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// Every request leaving a replica (completion or eviction) as the
+        /// core books it, with its class's TBT counters at that moment.
+        static DEPARTURES: RefCell<Vec<(QueuedRequest, Option<ClassTbt>)>> =
+            const { RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn log_departure(core: &Core, q: &QueuedRequest) {
+        let tbt = core.tbt_by_class.get(usize::from(q.spec.class.0)).cloned().flatten();
+        DEPARTURES.with_borrow_mut(|log| log.push((*q, tbt)));
+    }
 
     /// A hand-built system: 1 replica × 4 slots, 1 ms per token, 1000-token/s
     /// prefill, KV for 4000 tokens. Uses a 4K-context config so test shapes
@@ -2205,6 +2196,75 @@ mod tests {
         );
         assert!(reference.preemptions > 0);
         assert_eq!(reference, span);
+    }
+
+    #[test]
+    fn settled_residents_match_the_per_token_walk() {
+        // One token-granular replica under KV pressure, with a host pool
+        // that holds only small victims: residents are admitted, ride
+        // fast-forward spans, swap out and back in, are evicted for
+        // recompute, and complete. The span engine books a resident's
+        // tokens only when it leaves; the per-token reference books each
+        // token as it is emitted. Every departure must find the request in
+        // the same state under both. Each request gets a class of its own,
+        // so a class's TBT counters are that one request's.
+        let sys = tiny_system().with_kv_budget(KvBudget::tokens(150));
+        let mut trace = poisson(50.0, 7, 10, 90).generate(Time::from_secs_f64(1.5), 4096);
+        assert!(trace.len() <= 256, "one class per request");
+        for (i, spec) in trace.iter_mut().enumerate() {
+            spec.class = PriorityClass(i as u8);
+        }
+        let spill = KvSpillConfig::swap_only(60, KvSwapCost::cent(ByteSize::kib(4)));
+        let run = |engine: TickEngine| {
+            DEPARTURES.take();
+            let options = ServeOptions::token_granular().with_spill(spill).with_engine(engine);
+            let (report, stats) = sys.serve_trace_instrumented(&trace, 50.0, options);
+            (report, stats, DEPARTURES.take())
+        };
+        let (span_report, span_stats, span) = run(TickEngine::SpanFastForward);
+        let (ref_report, ref_stats, reference) = run(TickEngine::PerTokenReference);
+        assert_eq!(span_report, ref_report);
+        assert_eq!(span_stats.tokens, ref_stats.tokens);
+        assert!(span_stats.tick_events < span_stats.tokens / 4, "spans carry most tokens");
+        assert!(span_report.swaps > 0, "some victims swap out and back in");
+        assert!(span_report.preemptions > 0, "some victims recompute");
+        assert_eq!(span_report.completed, trace.len());
+        assert_eq!(span.len(), reference.len());
+        for (i, (got, want)) in span.iter().zip(&reference).enumerate() {
+            assert_eq!(got, want, "departure {i}");
+        }
+        // Evictions add departures, and their resume gaps were booked off
+        // the cadence.
+        assert!(span.len() > trace.len());
+        assert!(span.iter().any(|(_, tbt)| tbt.as_ref().is_some_and(|c| c.off_cadence.is_some())));
+    }
+
+    #[test]
+    fn crash_books_the_tokens_residents_emitted() {
+        // A's first token (at 11 ms) rides the fast-forward span that B's
+        // arrival at 11.5 ms triggers; the group then crashes before A's
+        // next decision. The crash settles A: its token counts, and the
+        // span opened its class's TBT stream (with no gap in it yet).
+        let sys = tiny_system();
+        let spec = |id: u64, arrival_us: u64| RequestSpec {
+            id: RequestId(id),
+            arrival: Time::from_us(arrival_us),
+            prompt: 10,
+            decode: 50,
+            class: PriorityClass::default(),
+            session: crate::queue::SessionId(id),
+        };
+        let mut sim = GroupSim::new(&sys, ServeOptions::default());
+        sim.push_arrival(spec(0, 0));
+        sim.push_arrival(spec(1, 11_500));
+        sim.advance_to(Time::from_us(11_600));
+        let orphans = sim.crash(Time::from_us(11_600));
+        assert_eq!(orphans.len(), 2);
+        let outcome = sim.finish(1.0);
+        assert_eq!(outcome.stats.tokens, 1);
+        assert_eq!(outcome.records.len(), 0);
+        assert_eq!(outcome.tbt_by_class.len(), 1);
+        assert_eq!(outcome.tbt_by_class[0].1.count(), 0);
     }
 
     #[test]
