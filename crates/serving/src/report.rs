@@ -250,8 +250,8 @@ pub struct ServingReport {
     pub queue_wait: LatencyStats,
     /// Time-between-tokens distribution (decode cadence): one sample per
     /// generated token after a request's first — preemption stalls appear
-    /// as outlier gaps — streamed through a [`TimeHistogram`] so
-    /// long-horizon runs stay constant-memory.
+    /// as outlier gaps — streamed through a [`TimeHistogram`], whose
+    /// memory is bounded by the occupied bucket span, not the run length.
     pub tbt: LatencyStats,
     /// Time-weighted fraction of decode slots occupied. Like the other two
     /// utilizations, it is averaged over the window from time zero to the

@@ -308,10 +308,14 @@ impl ContinuousBatchScheduler {
     /// because [`SchedulingPolicy`] priorities are stable between admission
     /// instants; a preempted request is keyed afresh when
     /// [`requeue`](Self::requeue) returns it.
-    pub fn admit_ready(&mut self, ctx: &PolicyContext) -> Vec<Admission> {
+    ///
+    /// The admissions land in `admitted`, in admission order. It is
+    /// cleared first and is a caller-owned buffer that the event loops
+    /// reuse across admission instants, as with [`grow`](Self::grow).
+    pub fn admit_ready(&mut self, ctx: &PolicyContext, admitted: &mut Vec<Admission>) {
+        admitted.clear();
         let policy = &self.policy;
         self.queue.index_pending(|q| policy.priority(q, ctx));
-        let mut admitted = Vec::new();
         while let Some(head) = self.queue.peek() {
             let need = self.admission_kv(head);
             let limit = self.admission_limit();
@@ -352,7 +356,6 @@ impl ContinuousBatchScheduler {
             self.admissions += 1;
             admitted.push(Admission { req, replica: ridx, lease, at: ctx.now });
         }
-        admitted
     }
 
     /// Extends a resident request's reservation by one generated token.
@@ -561,6 +564,14 @@ mod tests {
         PolicyContext { now: Time::from_us(us), token_interval: Time::from_us(1) }
     }
 
+    /// Single-instant admission with a throwaway buffer (the event loops
+    /// reuse one buffer across instants; tests want the admissions back).
+    fn admit(s: &mut ContinuousBatchScheduler, ctx: &PolicyContext) -> Vec<Admission> {
+        let mut admitted = Vec::new();
+        s.admit_ready(ctx, &mut admitted);
+        admitted
+    }
+
     /// Single-call growth with a throwaway scratch buffer (the event loops
     /// reuse one buffer across calls; tests want the victims back).
     fn grow(s: &mut ContinuousBatchScheduler, lease: LeaseId) -> Vec<Preemption> {
@@ -576,13 +587,13 @@ mod tests {
         for i in 0..6 {
             s.enqueue(spec(i, 6, 4));
         }
-        let first = s.admit_ready(&ctx(0));
+        let first = admit(&mut s, &ctx(0));
         assert_eq!(first.len(), 2, "third request must not overcommit KV");
         assert_eq!(s.kv_reserved(0), 20);
         assert!(s.peak_kv_reserved() <= s.kv_budget_tokens());
         // Finishing one frees exactly one admission's worth.
         s.complete(first[0].lease);
-        let next = s.admit_ready(&ctx(1));
+        let next = admit(&mut s, &ctx(1));
         assert_eq!(next.len(), 1);
         assert!(s.kv_reserved(0) <= 25);
     }
@@ -594,13 +605,13 @@ mod tests {
             s.enqueue(spec(i, 4, 4));
         }
         let mut order = Vec::new();
-        let mut resident: Vec<Admission> = s.admit_ready(&ctx(0));
+        let mut resident: Vec<Admission> = admit(&mut s, &ctx(0));
         order.extend(resident.iter().map(|a| a.req.spec.id.0));
         let mut clock = 1u64;
         while !resident.is_empty() {
             let done = resident.remove(0);
             s.complete(done.lease);
-            let mut newly = s.admit_ready(&ctx(clock));
+            let mut newly = admit(&mut s, &ctx(clock));
             order.extend(newly.iter().map(|a| a.req.spec.id.0));
             resident.append(&mut newly);
             clock += 1;
@@ -615,10 +626,10 @@ mod tests {
         s.enqueue(spec(0, 4, 100));
         s.enqueue(spec(1, 4, 5));
         s.enqueue(spec(2, 4, 50));
-        let first = s.admit_ready(&ctx(0));
+        let first = admit(&mut s, &ctx(0));
         assert_eq!(first[0].req.spec.id, RequestId(1), "shortest decode first");
         s.complete(first[0].lease);
-        let second = s.admit_ready(&ctx(1));
+        let second = admit(&mut s, &ctx(1));
         assert_eq!(second[0].req.spec.id, RequestId(2));
     }
 
@@ -628,7 +639,7 @@ mod tests {
         s.enqueue(spec(0, 400, 400)); // can never fit
         s.enqueue(spec(1, 10, 10));
         assert_eq!(s.rejected().len(), 1);
-        let adm = s.admit_ready(&ctx(0));
+        let adm = admit(&mut s, &ctx(0));
         assert_eq!(adm.len(), 1);
         assert_eq!(adm[0].req.spec.id, RequestId(1));
     }
@@ -636,7 +647,7 @@ mod tests {
     #[test]
     fn empty_queue_is_idle_and_correct() {
         let mut s = sched(2, 4, 1000);
-        assert!(s.admit_ready(&ctx(0)).is_empty());
+        assert!(admit(&mut s, &ctx(0)).is_empty());
         assert_eq!(s.in_flight(), 0);
         assert_eq!(s.queue_len(), 0);
         assert_eq!(s.peak_kv_reserved(), 0);
@@ -648,7 +659,7 @@ mod tests {
         for i in 0..6 {
             s.enqueue(spec(i, 4, 4));
         }
-        let adm = s.admit_ready(&ctx(0));
+        let adm = admit(&mut s, &ctx(0));
         assert_eq!(adm.len(), 6);
         let on_r0 = adm.iter().filter(|a| a.replica == 0).count();
         assert_eq!(on_r0, 3, "least-loaded placement should balance");
@@ -664,7 +675,7 @@ mod tests {
         s.enqueue(spec(0, 10, 10)); // 20 tokens
         s.enqueue(spec(1, 500, 500)); // 1000 tokens
         s.enqueue(spec(2, 10, 10));
-        let adm = s.admit_ready(&ctx(0));
+        let adm = admit(&mut s, &ctx(0));
         assert_eq!(adm.len(), 3);
         assert_eq!(adm[0].replica, 0);
         assert_eq!(adm[1].replica, 1);
@@ -675,7 +686,7 @@ mod tests {
     fn token_granular_reserves_prompt_and_grows() {
         let mut s = token_sched(1, 4, 100);
         s.enqueue(spec(0, 10, 50));
-        let adm = s.admit_ready(&ctx(0));
+        let adm = admit(&mut s, &ctx(0));
         assert_eq!(adm.len(), 1);
         assert_eq!(s.kv_reserved(0), 10, "only the prompt is reserved");
         for _ in 0..50 {
@@ -695,7 +706,7 @@ mod tests {
         let mut s = token_sched(1, 4, 30);
         s.enqueue(spec(0, 10, 18));
         s.enqueue(spec(1, 10, 18));
-        let adm = s.admit_ready(&ctx(0));
+        let adm = admit(&mut s, &ctx(0));
         assert_eq!(adm.len(), 2);
         assert_eq!(s.kv_reserved(0), 20);
         // Grow the elder to the budget.
@@ -718,7 +729,7 @@ mod tests {
         let mut s = token_sched(1, 4, 25);
         s.enqueue(spec(0, 10, 14));
         s.enqueue(spec(1, 10, 14));
-        let adm = s.admit_ready(&ctx(0));
+        let adm = admit(&mut s, &ctx(0));
         assert_eq!(adm.len(), 2);
         for _ in 0..5 {
             assert!(grow(&mut s, adm[0].lease).is_empty());
@@ -748,7 +759,7 @@ mod tests {
         s.enqueue(classed(0, 10, 18, 0));
         s.enqueue(classed(1, 10, 18, 1));
         s.enqueue(classed(2, 10, 18, 0));
-        let adm = s.admit_ready(&ctx(0));
+        let adm = admit(&mut s, &ctx(0));
         assert_eq!(adm.len(), 3);
         assert_eq!(s.kv_reserved(0), 30);
         let victims = grow(&mut s, adm[0].lease);
@@ -775,7 +786,7 @@ mod tests {
         s.enqueue(classed(2, 4, 4, 1));
         let mut order = Vec::new();
         for clock in 0..3 {
-            let adm = s.admit_ready(&ctx(clock));
+            let adm = admit(&mut s, &ctx(clock));
             assert_eq!(adm.len(), 1);
             order.push(adm[0].req.spec.id.0);
             s.complete(adm[0].lease);
@@ -790,12 +801,12 @@ mod tests {
         let mut s = sched(1, 4, u64::MAX);
         s.enqueue(spec(0, 4, 4));
         s.enqueue(spec(1, 4, 4));
-        let first = s.admit_ready(&ctx(0));
+        let first = admit(&mut s, &ctx(0));
         s.complete(first[0].lease);
         s.complete(first[1].lease);
         s.enqueue(spec(2, 4, 4));
         s.enqueue(spec(3, 4, 4));
-        let second = s.admit_ready(&ctx(1));
+        let second = admit(&mut s, &ctx(1));
         assert_eq!(second[0].lease, first[1].lease);
         assert_eq!(second[1].lease, first[0].lease);
     }
@@ -811,13 +822,13 @@ mod tests {
         // 60-token prompt exceeds the 50-token watermark but the replica is
         // idle, so it must still be admitted (feasibility guarantee).
         s.enqueue(spec(0, 60, 10));
-        let adm = s.admit_ready(&ctx(0));
+        let adm = admit(&mut s, &ctx(0));
         assert_eq!(adm.len(), 1);
         // A second 20-token prompt would land above the watermark: blocked.
         s.enqueue(spec(1, 20, 10));
-        assert!(s.admit_ready(&ctx(1)).is_empty());
+        assert!(admit(&mut s, &ctx(1)).is_empty());
         s.complete(adm[0].lease);
-        assert_eq!(s.admit_ready(&ctx(2)).len(), 1);
+        assert_eq!(admit(&mut s, &ctx(2)).len(), 1);
     }
 
     #[test]
@@ -828,25 +839,25 @@ mod tests {
         // once capacity frees up, and same-class arrivals stay behind it.
         let mut s = sched(1, 1, u64::MAX);
         s.enqueue(classed(0, 4, 4, 0));
-        let first = s.admit_ready(&ctx(0));
+        let first = admit(&mut s, &ctx(0));
         assert_eq!(first.len(), 1);
         s.enqueue(classed(1, 4, 4, 1));
-        assert!(s.admit_ready(&ctx(1)).is_empty(), "slot is busy");
+        assert!(admit(&mut s, &ctx(1)).is_empty(), "slot is busy");
         // Re-poll without any release: the head is still blocked.
-        assert!(s.admit_ready(&ctx(2)).is_empty());
-        assert!(s.admit_ready(&ctx(3)).is_empty());
+        assert!(admit(&mut s, &ctx(2)).is_empty());
+        assert!(admit(&mut s, &ctx(3)).is_empty());
         // A higher-class (interactive) arrival outranks the blocked head
         // and becomes the new index head; still no capacity.
         s.enqueue(classed(2, 4, 4, 0));
-        assert!(s.admit_ready(&ctx(4)).is_empty());
+        assert!(admit(&mut s, &ctx(4)).is_empty());
         // Capacity frees: the interactive request is admitted first even
         // though the background one was the blocked head earlier.
         s.complete(first[0].lease);
-        let adm = s.admit_ready(&ctx(5));
+        let adm = admit(&mut s, &ctx(5));
         assert_eq!(adm.len(), 1);
         assert_eq!(adm[0].req.spec.id, RequestId(2));
         s.complete(adm[0].lease);
-        let adm = s.admit_ready(&ctx(6));
+        let adm = admit(&mut s, &ctx(6));
         assert_eq!(adm.len(), 1);
         assert_eq!(adm[0].req.spec.id, RequestId(1));
     }
@@ -857,16 +868,16 @@ mod tests {
         // must neither unblock it nor get admitted out of order.
         let mut s = sched(1, 1, u64::MAX);
         s.enqueue(spec(0, 4, 4));
-        let first = s.admit_ready(&ctx(0));
+        let first = admit(&mut s, &ctx(0));
         assert_eq!(first.len(), 1);
         s.enqueue(spec(1, 4, 4));
-        assert!(s.admit_ready(&ctx(1)).is_empty());
+        assert!(admit(&mut s, &ctx(1)).is_empty());
         for i in 2..20 {
             s.enqueue(spec(i, 4, 4));
-            assert!(s.admit_ready(&ctx(i)).is_empty());
+            assert!(admit(&mut s, &ctx(i)).is_empty());
         }
         s.complete(first[0].lease);
-        let adm = s.admit_ready(&ctx(20));
+        let adm = admit(&mut s, &ctx(20));
         assert_eq!(adm.len(), 1);
         assert_eq!(adm[0].req.spec.id, RequestId(1), "FIFO head admitted after release");
     }

@@ -27,8 +27,7 @@
 //! preemptions)`, independent of how many ticks the spans cover. Resident
 //! state is split hot and cold. Each replica keeps its residents, in
 //! admission order, as one contiguous array of 24-byte hot records (next
-//! token instant, final token instant, lease, whether a span has emitted
-//! for it since admission), and every per-event walk —
+//! token instant, final token instant, lease), and every per-event walk —
 //! the fast-forward, the wake's due filter and the decision solve — reads
 //! only that array. On the grid a resident's progress is a function of its
 //! next token instant, so the cold [`QueuedRequest`] waits untouched in a
@@ -65,7 +64,7 @@ use crate::queue::{
 };
 use crate::report::{RunTotals, ServingReport, StepIntegral};
 use crate::scheduler::{
-    ContinuousBatchScheduler, KvBudget, KvMode, LeaseId, Preemption, SchedulerConfig,
+    Admission, ContinuousBatchScheduler, KvBudget, KvMode, LeaseId, Preemption, SchedulerConfig,
 };
 use crate::workload::Workload;
 
@@ -1039,7 +1038,6 @@ impl GroupSim {
                     next_at: p.first_token,
                     done_at: p.first_token + interval.times(remaining - 1),
                     lease: p.lease,
-                    spanned: false,
                 });
                 span.dirty = true;
                 slab.insert(p.lease, p.q);
@@ -1107,6 +1105,9 @@ struct Core {
     /// Steady-state system decode throughput from the oracle.
     steady_state_tokens_per_s: f64,
     scheduler: ContinuousBatchScheduler,
+    /// The admissions of the current instant: one buffer, refilled by
+    /// [`admit`](Self::admit) at every admission instant of the run.
+    admitted: Vec<Admission>,
     records: Vec<RequestRecord>,
     /// Each replica has one prefill front-end: prompts of back-to-back
     /// admissions stream through it in series.
@@ -1145,12 +1146,14 @@ struct Core {
     kv_integral: StepIntegral,
     host_integral: StepIntegral,
     /// Per-class TBT accumulators indexed by the class value, `None` for a
-    /// class that has not yet emitted a span or a token after its first.
+    /// class that has not yet recorded a gap (a token after a request's
+    /// first).
     /// The group TBT stream is not kept: it is the merge of the class
     /// streams, built once in [`into_outcome`](Self::into_outcome).
     tbt_by_class: Vec<Option<ClassTbt>>,
-    /// Arrivals per class (keys are the classes that arrived).
-    submitted_by_class: BTreeMap<PriorityClass, usize>,
+    /// Arrivals per class indexed by the class value (0 for a class that
+    /// has not arrived).
+    submitted_by_class: Vec<usize>,
     /// Eviction outcome counters and stall accumulators.
     recomputes: u64,
     swaps: u64,
@@ -1182,13 +1185,13 @@ struct Core {
 /// almost every gap is that one value: those are only counted, and folded
 /// into the class histogram with one `record_n` at outcome time. A gap off
 /// the cadence (a resume gap after a preemption, swap or handoff) goes into
-/// a histogram that is allocated on the first such gap.
+/// a histogram, which stores only the buckets such gaps occupy.
 #[derive(Debug, Default, Clone, PartialEq)]
 struct ClassTbt {
     /// Gaps exactly one `token_interval` long.
     on_cadence: u64,
     /// Every other gap.
-    off_cadence: Option<TimeHistogram>,
+    off_cadence: TimeHistogram,
 }
 
 impl ClassTbt {
@@ -1196,13 +1199,13 @@ impl ClassTbt {
         if gap == interval {
             self.on_cadence += 1;
         } else {
-            self.off_cadence.get_or_insert_with(TimeHistogram::new).record(gap);
+            self.off_cadence.record(gap);
         }
     }
 
     /// The class's full TBT histogram.
     fn into_histogram(self, interval: Time) -> TimeHistogram {
-        let mut h = self.off_cadence.unwrap_or_default();
+        let mut h = self.off_cadence;
         h.record_n(interval, self.on_cadence);
         h
     }
@@ -1239,6 +1242,7 @@ impl Core {
             replicas: sys.scheduler_cfg.replicas,
             steady_state_tokens_per_s: sys.steady_state_tokens_per_s,
             scheduler: ContinuousBatchScheduler::new(cfg).with_policy(options.policy),
+            admitted: Vec::new(),
             records: Vec::new(),
             prefill_free: vec![Time::ZERO; sys.scheduler_cfg.replicas],
             prefill_free_alt: vec![Time::ZERO; sys.scheduler_cfg.replicas],
@@ -1253,7 +1257,7 @@ impl Core {
             kv_integral: StepIntegral::default(),
             host_integral: StepIntegral::default(),
             tbt_by_class: Vec::new(),
-            submitted_by_class: BTreeMap::new(),
+            submitted_by_class: Vec::new(),
             recomputes: 0,
             swaps: 0,
             recompute_stall: Time::ZERO,
@@ -1300,7 +1304,11 @@ impl Core {
     /// scheduler's feasibility check.
     fn arrive(&mut self, spec: RequestSpec) {
         self.window_end = self.last_t;
-        *self.submitted_by_class.entry(spec.class).or_insert(0) += 1;
+        let i = usize::from(spec.class.0);
+        if i >= self.submitted_by_class.len() {
+            self.submitted_by_class.resize(i + 1, 0);
+        }
+        self.submitted_by_class[i] += 1;
         self.scheduler.enqueue(spec);
         self.admission_dirty = true;
     }
@@ -1315,10 +1323,13 @@ impl Core {
 
     /// Runs admission at instant `t` and computes each admitted request's
     /// service timeline (prefill or swap-in) and first-token instant.
+    /// The admissions are copied out of the reused buffer by index, since
+    /// placing one also updates the rest of the core.
     fn admit(&mut self, t: Time) -> impl Iterator<Item = Placed> + '_ {
         let ctx = PolicyContext { now: t, token_interval: self.token_interval };
-        let admitted = self.scheduler.admit_ready(&ctx);
-        admitted.into_iter().map(move |admission| {
+        self.scheduler.admit_ready(&ctx, &mut self.admitted);
+        (0..self.admitted.len()).map(move |i| {
+            let admission = self.admitted[i];
             let mut q = admission.req;
             if q.first_admitted.is_none() {
                 q.first_admitted = Some(t);
@@ -1412,16 +1423,15 @@ impl Core {
         let owed = (m.done_at.as_ps() + step - m.next_at.as_ps()) / step;
         let n = q.remaining_decode() as u64 - owed;
         if n == 0 {
-            debug_assert!(!m.spanned, "a span emits at least one token");
             return;
         }
         self.tokens += n;
         self.window_end = self.window_end.max(m.next_at - interval);
         let gap = q.apply_token_span(m.next_at - interval.times(n), interval, n);
-        // A request's very first token has no gap before it. Emitted alone
-        // at a decision tick it leaves the class's accumulator unopened,
-        // exactly as a per-token walk would; any span opens it.
-        if m.spanned || n > 1 || gap.is_some() {
+        // A request's very first token has no gap before it: emitted alone
+        // it leaves the class's accumulator unopened, exactly as a per-token
+        // walk would.
+        if n > 1 || gap.is_some() {
             let class = self.class_tbt(q.spec.class);
             class.on_cadence += n - 1;
             if let Some(gap) = gap {
@@ -1471,7 +1481,6 @@ impl Core {
                     - u128::from(step) * (u128::from(count) * u128::from(count - 1) / 2);
             }
             m.next_at += interval.times(count);
-            m.spanned = true;
         }
         area
     }
@@ -1596,6 +1605,7 @@ impl Core {
             "eviction dispositions account for every scheduler eviction"
         );
         self.records.sort_by_key(|r| r.spec.id);
+        self.records.shrink_to_fit();
         let stats = SimStats {
             heap_pushes: heap.pushes,
             heap_pops: heap.pops,
@@ -1616,8 +1626,11 @@ impl Core {
                 tbt_by_class.push((PriorityClass(class), h));
             }
         }
-        let submitted_by_class: Vec<(PriorityClass, usize)> =
-            self.submitted_by_class.into_iter().collect();
+        let submitted_by_class: Vec<(PriorityClass, usize)> = (0..=u8::MAX)
+            .zip(self.submitted_by_class)
+            .filter(|&(_, n)| n > 0)
+            .map(|(class, n)| (PriorityClass(class), n))
+            .collect();
         let report = ServingReport::from_records(
             &self.records,
             RunTotals {
@@ -1659,8 +1672,6 @@ struct Member {
     done_at: Time,
     /// Scheduler lease; also the resident's index in the cold [`Slab`].
     lease: LeaseId,
-    /// Whether a fast-forward span has emitted for it since admission.
-    spanned: bool,
 }
 
 /// Loop-side state of a resident in the per-token reference engine.
@@ -2236,15 +2247,18 @@ mod tests {
         // Evictions add departures, and their resume gaps were booked off
         // the cadence.
         assert!(span.len() > trace.len());
-        assert!(span.iter().any(|(_, tbt)| tbt.as_ref().is_some_and(|c| c.off_cadence.is_some())));
+        assert!(span
+            .iter()
+            .any(|(_, tbt)| tbt.as_ref().is_some_and(|c| c.off_cadence.count() > 0)));
     }
 
     #[test]
     fn crash_books_the_tokens_residents_emitted() {
         // A's first token (at 11 ms) rides the fast-forward span that B's
         // arrival at 11.5 ms triggers; the group then crashes before A's
-        // next decision. The crash settles A: its token counts, and the
-        // span opened its class's TBT stream (with no gap in it yet).
+        // next decision. The crash settles A: its token counts, but a lone
+        // first token has no gap, so its class's TBT stream stays unopened
+        // as in the per-token reference.
         let sys = tiny_system();
         let spec = |id: u64, arrival_us: u64| RequestSpec {
             id: RequestId(id),
@@ -2263,8 +2277,7 @@ mod tests {
         let outcome = sim.finish(1.0);
         assert_eq!(outcome.stats.tokens, 1);
         assert_eq!(outcome.records.len(), 0);
-        assert_eq!(outcome.tbt_by_class.len(), 1);
-        assert_eq!(outcome.tbt_by_class[0].1.count(), 0);
+        assert!(outcome.tbt_by_class.is_empty());
     }
 
     #[test]

@@ -240,6 +240,7 @@ fn admission_index_matches_full_scan_oracle_call_by_call() {
         // Resident requests with the progress they made, by lease.
         let mut live: Vec<(LeaseId, QueuedRequest)> = Vec::new();
         let mut victims = Vec::new();
+        let mut got = Vec::new();
         let mut now = 0u64;
         let mut next_id = 0u64;
         for op in 0..OPS_PER_CASE {
@@ -264,7 +265,7 @@ fn admission_index_matches_full_scan_oracle_call_by_call() {
                 22..=41 => {
                     now += rng.next_below(3);
                     let ctx = PolicyContext { now: Time::from_us(now), token_interval };
-                    let got = sched.admit_ready(&ctx);
+                    sched.admit_ready(&ctx, &mut got);
                     let want = oracle.admit_ready(&ctx);
                     let got_rows: Vec<_> =
                         got.iter().map(|a| (a.req, a.replica, a.lease.index())).collect();

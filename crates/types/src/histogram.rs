@@ -5,7 +5,9 @@
 //! distributions. Per-request populations keep every sample and take exact
 //! percentiles; high-volume streams (e.g. the serving report's per-token
 //! cadence) go through [`TimeHistogram`], which buckets samples
-//! logarithmically (~4% relative resolution) in constant memory.
+//! logarithmically (~4% relative resolution) in memory bounded by the
+//! occupied bucket span: one counter per bucket from the smallest to the
+//! largest sample's.
 
 use crate::units::Time;
 
@@ -92,10 +94,19 @@ pub fn mean(samples: &[Time]) -> Time {
 const SUB_BUCKETS: u64 = 16;
 const BUCKETS: usize = 64 * SUB_BUCKETS as usize;
 
-/// A constant-memory histogram of [`Time`] samples with logarithmic buckets
-/// (16 sub-buckets per power of two, ≲ 4.5% relative quantile error).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A histogram of [`Time`] samples with logarithmic buckets (16 sub-buckets
+/// per power of two, ≲ 4.5% relative quantile error).
+///
+/// Only the occupied span of buckets is stored: the counters from the
+/// lowest to the highest non-empty bucket, so a stream of one repeated
+/// value costs one counter and an empty histogram allocates nothing. The
+/// span is canonical (empty when there are no samples, non-zero at both
+/// ends otherwise), so equality means "same samples per bucket".
+#[derive(Clone, PartialEq, Eq)]
 pub struct TimeHistogram {
+    /// Bucket index of `counts[0]` (0 when empty).
+    first: usize,
+    /// Counters of buckets `first..first + counts.len()`.
     counts: Vec<u64>,
     total: u64,
     min: Time,
@@ -109,11 +120,33 @@ impl Default for TimeHistogram {
     }
 }
 
+/// Prints the full 1024-bucket form, so the output does not depend on
+/// which span a histogram happens to store.
+impl core::fmt::Debug for TimeHistogram {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        struct Dense<'a>(&'a TimeHistogram);
+        impl core::fmt::Debug for Dense<'_> {
+            fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+                let h = self.0;
+                f.debug_list().entries((0..BUCKETS).map(|i| h.bucket_count(i))).finish()
+            }
+        }
+        f.debug_struct("TimeHistogram")
+            .field("counts", &Dense(self))
+            .field("total", &self.total)
+            .field("min", &self.min)
+            .field("max", &self.max)
+            .field("sum_ps", &self.sum_ps)
+            .finish()
+    }
+}
+
 impl TimeHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         TimeHistogram {
-            counts: vec![0; BUCKETS],
+            first: 0,
+            counts: Vec::new(),
             total: 0,
             min: Time::from_ps(u64::MAX),
             max: Time::ZERO,
@@ -139,7 +172,33 @@ impl TimeHistogram {
         }
         let octave = (i - SUB_BUCKETS) / SUB_BUCKETS + 4;
         let sub = (i - SUB_BUCKETS) % SUB_BUCKETS;
-        (1u64 << octave) + (sub + 1) * (1u64 << (octave - 4)) - 1
+        // Subtract before adding: the top bucket's edge is `u64::MAX`.
+        (1u64 << octave) - 1 + (sub + 1) * (1u64 << (octave - 4))
+    }
+
+    /// Samples in bucket `i` (0 outside the stored span).
+    fn bucket_count(&self, i: usize) -> u64 {
+        i.checked_sub(self.first).and_then(|j| self.counts.get(j)).copied().unwrap_or(0)
+    }
+
+    /// Widens the stored span to cover buckets `lo..=hi` and returns the
+    /// counters of exactly those buckets.
+    fn span_mut(&mut self, lo: usize, hi: usize) -> &mut [u64] {
+        if self.counts.is_empty() {
+            self.first = lo;
+            self.counts = vec![0; hi - lo + 1];
+            return &mut self.counts;
+        }
+        if lo < self.first {
+            let shift = self.first - lo;
+            self.counts.splice(0..0, core::iter::repeat_n(0, shift));
+            self.first = lo;
+        }
+        let end = hi + 1 - self.first;
+        if end > self.counts.len() {
+            self.counts.resize(end, 0);
+        }
+        &mut self.counts[lo - self.first..end]
     }
 
     /// Records one sample.
@@ -155,7 +214,8 @@ impl TimeHistogram {
             return;
         }
         let ps = t.as_ps();
-        self.counts[Self::bucket_of(ps).min(BUCKETS - 1)] += n;
+        let b = Self::bucket_of(ps).min(BUCKETS - 1);
+        self.span_mut(b, b)[0] += n;
         self.total += n;
         self.min = if t < self.min { t } else { self.min };
         self.max = self.max.max(t);
@@ -200,7 +260,7 @@ impl TimeHistogram {
         }
         let rank = ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).clamp(1, self.total);
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in (self.first..).zip(&self.counts) {
             seen += c;
             if seen >= rank {
                 let v = Time::from_ps(Self::bucket_value(i));
@@ -212,14 +272,16 @@ impl TimeHistogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &TimeHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+        if other.total == 0 {
+            return;
+        }
+        let hi = other.first + other.counts.len() - 1;
+        for (a, b) in self.span_mut(other.first, hi).iter_mut().zip(&other.counts) {
             *a += b;
         }
         self.total += other.total;
-        if other.total > 0 {
-            self.min = if other.min < self.min { other.min } else { self.min };
-            self.max = self.max.max(other.max);
-        }
+        self.min = if other.min < self.min { other.min } else { self.min };
+        self.max = self.max.max(other.max);
         self.sum_ps += other.sum_ps;
     }
 }
@@ -364,6 +426,196 @@ mod tests {
         let before = forward.clone();
         forward.merge(&TimeHistogram::new());
         assert_eq!(forward, before);
+    }
+
+    /// The dense reference: all 1024 counters, recorded, merged and read
+    /// the way the histogram did before it kept only its occupied span. The
+    /// name matches so that the derived `Debug` prints the same header.
+    mod dense {
+        use super::{Time, BUCKETS};
+
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct TimeHistogram {
+            counts: Vec<u64>,
+            total: u64,
+            min: Time,
+            max: Time,
+            sum_ps: u128,
+        }
+
+        impl TimeHistogram {
+            pub fn new() -> Self {
+                TimeHistogram {
+                    counts: vec![0; BUCKETS],
+                    total: 0,
+                    min: Time::from_ps(u64::MAX),
+                    max: Time::ZERO,
+                    sum_ps: 0,
+                }
+            }
+
+            pub fn record_n(&mut self, t: Time, n: u64) {
+                if n == 0 {
+                    return;
+                }
+                let ps = t.as_ps();
+                self.counts[super::TimeHistogram::bucket_of(ps).min(BUCKETS - 1)] += n;
+                self.total += n;
+                self.min = if t < self.min { t } else { self.min };
+                self.max = self.max.max(t);
+                self.sum_ps += u128::from(ps) * u128::from(n);
+            }
+
+            pub fn merge(&mut self, other: &TimeHistogram) {
+                for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+                    *a += b;
+                }
+                self.total += other.total;
+                if other.total > 0 {
+                    self.min = if other.min < self.min { other.min } else { self.min };
+                    self.max = self.max.max(other.max);
+                }
+                self.sum_ps += other.sum_ps;
+            }
+
+            pub fn count(&self) -> u64 {
+                self.total
+            }
+
+            pub fn min(&self) -> Time {
+                if self.total == 0 {
+                    Time::ZERO
+                } else {
+                    self.min
+                }
+            }
+
+            pub fn max(&self) -> Time {
+                self.max
+            }
+
+            pub fn mean(&self) -> Time {
+                if self.total == 0 {
+                    return Time::ZERO;
+                }
+                Time::from_ps((self.sum_ps / u128::from(self.total)) as u64)
+            }
+
+            pub fn quantile(&self, q: f64) -> Time {
+                if self.total == 0 {
+                    return Time::ZERO;
+                }
+                let rank =
+                    ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).clamp(1, self.total);
+                let mut seen = 0u64;
+                for (i, &c) in self.counts.iter().enumerate() {
+                    seen += c;
+                    if seen >= rank {
+                        let v = Time::from_ps(super::TimeHistogram::bucket_value(i));
+                        return core::cmp::min(v.max(self.min()), self.max);
+                    }
+                }
+                self.max
+            }
+        }
+    }
+
+    /// A sample drawn across the whole bucket range: the 16 linear buckets,
+    /// the log-spaced middle, and the top octaves up to `u64::MAX` (whose
+    /// bucket, 975, is the highest any sample reaches: the clamp to the
+    /// last of the 1024 buckets never binds, and the top edge is exactly
+    /// `u64::MAX`).
+    fn any_sample(rng: &mut crate::Rng64) -> Time {
+        let ps = match rng.next_below(4) {
+            0 => rng.next_below(SUB_BUCKETS),
+            1 => {
+                let bits = rng.next_below(64);
+                (1u64 << bits) | (rng.next_u64() >> (64 - bits.max(1)))
+            }
+            2 => u64::MAX - rng.next_below(1 << 20) * (1 << 40),
+            _ => 1_000_000 + rng.next_below(4_000_000),
+        };
+        Time::from_ps(ps)
+    }
+
+    /// Applies one random `record_n` (counts may be zero) or `merge` (of an
+    /// empty or random histogram) to both representations; returns the
+    /// samples it added.
+    fn random_op(
+        rng: &mut crate::Rng64,
+        h: &mut TimeHistogram,
+        d: &mut dense::TimeHistogram,
+    ) -> Vec<(Time, u64)> {
+        if rng.next_below(3) > 0 {
+            let t = any_sample(rng);
+            let n = [0, 1, 1, 2, 7, 1000][rng.next_below(6) as usize];
+            h.record_n(t, n);
+            d.record_n(t, n);
+            return if n == 0 { Vec::new() } else { vec![(t, n)] };
+        }
+        let mut other = TimeHistogram::new();
+        let mut other_dense = dense::TimeHistogram::new();
+        let mut added = Vec::new();
+        for _ in 0..rng.next_below(5) {
+            added.extend(random_op(rng, &mut other, &mut other_dense));
+        }
+        h.merge(&other);
+        d.merge(&other_dense);
+        added
+    }
+
+    fn assert_matches(h: &TimeHistogram, d: &dense::TimeHistogram, rng: &mut crate::Rng64) {
+        assert_eq!(h.count(), d.count());
+        assert_eq!(h.min(), d.min());
+        assert_eq!(h.max(), d.max());
+        assert_eq!(h.mean(), d.mean());
+        let fixed = [0.0, 1e-9, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0];
+        for q in fixed.into_iter().chain((0..8).map(|_| rng.next_f64())) {
+            assert_eq!(h.quantile(q), d.quantile(q), "q = {q}");
+        }
+        // Canonical span: empty, or non-zero at both ends.
+        assert!(h.counts.is_empty() || (h.counts[0] > 0 && h.counts[h.counts.len() - 1] > 0));
+    }
+
+    #[test]
+    fn span_histogram_matches_a_dense_reference() {
+        for seed in 0..200 {
+            let mut rng = crate::Rng64::seed(seed);
+            let mut h = TimeHistogram::new();
+            let mut d = dense::TimeHistogram::new();
+            let mut samples = Vec::new();
+            for _ in 0..rng.next_below(40) {
+                samples.extend(random_op(&mut rng, &mut h, &mut d));
+                assert_matches(&h, &d, &mut rng);
+            }
+            assert_eq!(format!("{h:?}"), format!("{d:?}"), "seed {seed}");
+            // The same samples recorded in another order give an equal
+            // histogram; one more sample gives an unequal one, in both
+            // representations alike.
+            let mut direct = TimeHistogram::new();
+            for &(t, n) in samples.iter().rev() {
+                direct.record_n(t, n);
+            }
+            assert_eq!(direct, h, "seed {seed}");
+            let (mut more, mut more_dense) = (h.clone(), d.clone());
+            let extra = any_sample(&mut rng);
+            more.record(extra);
+            more_dense.record_n(extra, 1);
+            assert_ne!(more, h);
+            assert_matches(&more, &more_dense, &mut rng);
+            let mut other = TimeHistogram::new();
+            let mut other_dense = dense::TimeHistogram::new();
+            random_op(&mut rng, &mut other, &mut other_dense);
+            assert_eq!(other == h, other_dense == d, "seed {seed}");
+        }
+        let mut h = TimeHistogram::new();
+        let mut d = dense::TimeHistogram::new();
+        assert_eq!(format!("{h:#?}"), format!("{d:#?}"));
+        h.record_n(Time::from_ns(3), 5);
+        d.record_n(Time::from_ns(3), 5);
+        assert_eq!(format!("{h:#?}"), format!("{d:#?}"));
+        assert_eq!(TimeHistogram::bucket_of(u64::MAX), 975);
+        assert_eq!(TimeHistogram::bucket_value(975), u64::MAX);
     }
 
     #[test]
